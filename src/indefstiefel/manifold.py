@@ -51,8 +51,10 @@ class ManifoldSpec:
 
     Construction symmetrizes the inputs, checks J^2 = I_k, checks that A is
     nonsingular, and checks the nonemptiness inequalities
-    i_+(J) <= i_+(A), i_-(J) <= i_-(A).  An LU factorization of A is cached
-    so A^{-1} is applied, never formed.
+    i_+(J) <= i_+(A), i_-(J) <= i_-(A).  A diagonal A is detected once and
+    held as its diagonal vector, so :meth:`apply_a` and :meth:`solve_a` are
+    row scalings; any other A gets a cached LU factorization so A^{-1} is
+    applied, never formed.  The dense ``A`` attribute stays for inspection.
 
     ``a_eig=(w, v)`` optionally injects a known eigendecomposition of A
     (used for inertia and for :func:`make_point`), avoiding an O(n^3)
@@ -76,12 +78,15 @@ class ManifoldSpec:
         if jj_err > 1e-12 * self.k:
             raise ValueError(f"J^2 != I_k (||J^2 - I||_F = {jj_err:.3e})")
 
+        # the diagonal of a diagonal A, else None
+        self._a_diag = np.diag(self.A) if self._is_diagonal(self.A) else None
+
         if a_eig is not None:
             w, v = a_eig
             self._a_eigvals = np.asarray(w, dtype=float)
             self._a_eigvecs = np.asarray(v, dtype=float)
-        elif self._is_diagonal(self.A):
-            self._a_eigvals = np.diag(self.A).copy()
+        elif self._a_diag is not None:
+            self._a_eigvals = self._a_diag
             self._a_eigvecs = None  # identity columns, materialized lazily
         else:
             self._a_eigvals = np.linalg.eigvalsh(self.A)
@@ -104,11 +109,12 @@ class ManifoldSpec:
                 f"manifold is empty: i-(J) = {self.inertia_j.n_neg} exceeds "
                 f"i-(A) = {self.inertia_a.n_neg}"
             )
-        self._lu = scipy.linalg.lu_factor(self.A)
+        self._lu = None if self._a_diag is not None else scipy.linalg.lu_factor(self.A)
 
     @staticmethod
     def _is_diagonal(a: np.ndarray) -> bool:
-        return np.count_nonzero(a - np.diag(np.diag(a))) == 0
+        # every nonzero entry lies on the diagonal
+        return np.count_nonzero(a) == np.count_nonzero(np.diag(a))
 
     @staticmethod
     def _diag_inertia(w: np.ndarray, tol: float = 1e-12) -> Inertia:
@@ -122,14 +128,36 @@ class ManifoldSpec:
         """Manifold dimension nk - k(k+1)/2."""
         return self.n * self.k - self.k * (self.k + 1) // 2
 
+    def _column(self, x: np.ndarray) -> np.ndarray:
+        """The diagonal of A shaped to scale the rows of x."""
+        return self._a_diag if np.ndim(x) == 1 else self._a_diag[:, None]
+
+    def apply_a(self, x: np.ndarray) -> np.ndarray:
+        """A x, as a C-ordered array equal bit for bit to ``A @ x``.
+
+        A diagonal A scales rows.  The result is C-ordered whatever the
+        order of x, and -0 entries become +0 as in the dense product: later
+        products pick their BLAS kernel by memory order, and LAPACK's eigh
+        picks Householder signs by the sign of zero, so either difference
+        would change the iterates.
+        """
+        if self._a_diag is None:
+            return self.A @ x
+        out = np.multiply(self._column(x), x, order="C")
+        out += 0.0
+        return out
+
     def solve_a(self, b: np.ndarray) -> np.ndarray:
-        """Apply A^{-1} to the columns of b via the cached factorization."""
-        return scipy.linalg.lu_solve(self._lu, b)
+        """Apply A^{-1} to the columns of b: a division by a diagonal A,
+        else the cached LU factorization."""
+        if self._a_diag is None:
+            return scipy.linalg.lu_solve(self._lu, b)
+        return np.asarray(b, dtype=float) / self._column(b)
 
     def a_eigendecomposition(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigenpairs of A (ascending), computing and caching vectors lazily."""
         if self._a_eigvecs is None:
-            if self._is_diagonal(self.A):
+            if self._a_diag is not None:
                 order = np.argsort(self._a_eigvals, kind="stable")
                 self._a_eigvals = self._a_eigvals[order]
                 self._a_eigvecs = np.eye(self.n)[:, order]
@@ -205,22 +233,23 @@ class MetricSpec:
         """M_X^{-1} y at base point x."""
         if self.kind == "euclidean":
             return np.asarray(y, dtype=float)
+        # cho_factor checked the factor once; skip the O(n^2) recheck per solve
         if self.kind == "weighted":
-            return scipy.linalg.cho_solve(self._chol, y)
+            return scipy.linalg.cho_solve(self._chol, y, check_finite=False)
         m = sym(self.matrix_fn(x))
-        return scipy.linalg.cho_solve(scipy.linalg.cho_factor(m), y)
+        return scipy.linalg.cho_solve(scipy.linalg.cho_factor(m), y, check_finite=False)
 
 
 def feasibility(spec: ManifoldSpec, x: np.ndarray) -> float:
     """Constraint residual ||X^T A X - J||_F."""
     x = np.asarray(x, dtype=float)
-    return float(np.linalg.norm(x.T @ (spec.A @ x) - spec.J))
+    return float(np.linalg.norm(x.T @ spec.apply_a(x) - spec.J))
 
 
 def tangency_residual(spec: ManifoldSpec, x: np.ndarray, z) -> float:
     """||Z^T A X + X^T A Z||_F, zero exactly when Z is tangent at X."""
     z = _value(z)
-    ax = spec.A @ x
+    ax = spec.apply_a(x)
     return float(np.linalg.norm(z.T @ ax + ax.T @ z))
 
 
@@ -302,7 +331,7 @@ def metric_norm(metric: MetricSpec, x: np.ndarray, z) -> float:
 def _lyap_pieces(spec: ManifoldSpec, metric: MetricSpec, x: np.ndarray):
     """Shared quantities for projections: AX, M_X^{-1} A X, and the spd
     Lyapunov coefficient S = X^T A M_X^{-1} A X."""
-    ax = spec.A @ x
+    ax = spec.apply_a(x)
     mi_ax = metric.apply_inverse(x, ax)
     s = sym(ax.T @ mi_ax)
     return ax, mi_ax, s
@@ -333,10 +362,13 @@ def riemannian_gradient(spec: ManifoldSpec, metric: MetricSpec, x: np.ndarray, e
 
     grad f(X) = M_X^{-1} egrad - M_X^{-1} A X U with S U + U S =
     2 sym(X^T A M_X^{-1} egrad); equals the tangent projection of
-    M_X^{-1} egrad.
+    M_X^{-1} egrad.  M_X^{-1} is applied to [AX, egrad] in one solve.
     """
     egrad = np.asarray(egrad, dtype=float)
-    ax, mi_ax, s = _lyap_pieces(spec, metric, x)
-    w1 = metric.apply_inverse(x, egrad)
+    ax = spec.apply_a(x)
+    k = ax.shape[1]
+    mi = metric.apply_inverse(x, np.hstack([ax, egrad]))
+    mi_ax, w1 = mi[:, :k], mi[:, k:]
+    s = sym(ax.T @ mi_ax)
     u = solve_lyapunov(s, 2.0 * sym(ax.T @ w1))
     return TangentVector(base=x, value=w1 - mi_ax @ u)

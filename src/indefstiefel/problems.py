@@ -84,6 +84,31 @@ class PencilEigResult:
     rel_err: float
 
 
+class _LastProduct:
+    """x -> m @ x, remembering the product for the last argument.
+
+    The solver evaluates f at the accepted trial point and then egrad at the
+    same point; both need M X, so the second call reuses the first product.
+    The argument is remembered by value (a copy compared with
+    np.array_equal, O(nk) against the O(n^2 k) product), so an in-place edit
+    of x never returns a stale product.
+    """
+
+    def __init__(self, m: np.ndarray):
+        self.m = m
+        self._x: np.ndarray | None = None
+        self._mx: np.ndarray | None = None
+
+    def _product(self, x: np.ndarray) -> np.ndarray:
+        return self.m @ x
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        if self._x is None or not np.array_equal(self._x, x):
+            self._mx = self._product(x)
+            self._x = np.array(x, dtype=float)
+        return self._mx
+
+
 def _metric_for(choice: str, m: np.ndarray) -> MetricSpec:
     if choice == "euclidean":
         return MetricSpec.euclidean()
@@ -104,12 +129,13 @@ def trace_min_problem(m: np.ndarray, a: np.ndarray, j: np.ndarray, metric: str =
     if met.kind == "euclidean":
         # validate M is spd anyway: it defines the pencil
         MetricSpec.weighted(m)
+    mx = _LastProduct(m)
 
     def f(x: np.ndarray) -> float:
-        return float(np.vdot(x, m @ x))
+        return float(np.vdot(x, mx(x)))
 
     def egrad(x: np.ndarray) -> np.ndarray:
-        return 2.0 * (m @ x)
+        return 2.0 * mx(x)
 
     return Problem(
         spec=spec, metric=met, f=f, egrad=egrad,
@@ -140,8 +166,9 @@ def extract_eigenpairs(m: np.ndarray, spec: ManifoldSpec, x_star: np.ndarray, k_
     rot[k_p:, k_p:] = qm
     v = x_star @ rot
     d = np.concatenate([lam_plus, lam_minus])
-    resid = m @ v - (spec.A @ v) * d
-    denom = np.linalg.norm((spec.A @ v) * d)
+    avd = spec.apply_a(v) * d
+    resid = m @ v - avd
+    denom = np.linalg.norm(avd)
     rel_err = float(np.linalg.norm(resid) / denom) if denom > 0 else float("nan")
     return PencilEigResult(lambda_plus=lam_plus, lambda_minus=lam_minus, v=v, rel_err=rel_err)
 
@@ -170,12 +197,13 @@ def lrevp_problem(k_mat: np.ndarray, m_mat: np.ndarray, k: int, metric: str = "h
     g[p:, :p] = eye
     spec = ManifoldSpec(g, np.eye(k))
     met = _metric_for(metric, h)
+    hx = _LastProduct(h)
 
     def f(x: np.ndarray) -> float:
-        return float(np.vdot(x, h @ x))
+        return float(np.vdot(x, hx(x)))
 
     def egrad(x: np.ndarray) -> np.ndarray:
-        return 2.0 * (h @ x)
+        return 2.0 * hx(x)
 
     return Problem(
         spec=spec, metric=met, f=f, egrad=egrad,

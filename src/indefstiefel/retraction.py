@@ -80,7 +80,7 @@ def s_matrix(spec: ManifoldSpec, x: np.ndarray, z) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     z = _value(z)
     xj = x @ spec.J
-    core = skew(z.T @ (spec.A @ x))
+    core = skew(z.T @ spec.apply_a(x))
     return xj @ (core @ (spec.J @ x.T)) - xj @ z.T + z @ (spec.J @ x.T)
 
 
@@ -101,13 +101,13 @@ class EconCache:
 
     @staticmethod
     def build(spec: ManifoldSpec, x: np.ndarray, z: np.ndarray) -> "EconCache":
-        ax = spec.A @ x
+        ax = spec.apply_a(x)
         x_plus = spec.J @ ax.T
         # J M = X^T A Z is skew for tangent Z; re-skew so the reduced forms
         # inherit the feasibility-preserving structure of the full transform
         m = spec.J @ skew(ax.T @ z)
         lam = z - x @ m
-        lpl = spec.J @ (lam.T @ (spec.A @ lam))
+        lpl = spec.J @ (lam.T @ spec.apply_a(lam))
         return EconCache(x_plus=x_plus, m=m, lam=lam, lpl=lpl)
 
 
@@ -127,9 +127,8 @@ class CayleyCurve:
             form = default_form(spec.n, spec.k)
         self.form = CayleyForm(form)
         # the k x k core of S_{X,Z} is re-skewed as in s_matrix
-        a = spec.A
-        ax = a @ self.x
-        az = a @ self.z
+        ax = spec.apply_a(self.x)
+        az = spec.apply_a(self.z)
         core = skew(az.T @ self.x)
         if self.form is CayleyForm.FULL:
             # assemble S_{X,Z} A from rank-k pieces (never an n^3 product)
@@ -223,4 +222,4 @@ def second_order_defect(spec: ManifoldSpec, x: np.ndarray, z) -> np.ndarray:
     """
     z = _value(z)
     s = s_matrix(spec, x, z)
-    return spec.J @ (x.T @ (s @ (spec.A @ z)))
+    return spec.J @ (x.T @ (s @ spec.apply_a(z)))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from indefstiefel import (
     ManifoldSpec,
@@ -19,10 +20,12 @@ from indefstiefel import (
     random_tangent,
     riemannian_gradient,
     skew,
+    solve_lyapunov,
+    sym,
     tangency_residual,
 )
 
-from conftest import perturbed_point, random_spd, random_spec, signature
+from conftest import perturbed_point, random_indefinite, random_spd, random_spec, signature
 
 
 def tangent_basis(spec, x):
@@ -79,12 +82,38 @@ def test_spec_inertia_reporting():
     assert spec.inertia_j.n_pos == 2 and spec.inertia_j.n_neg == 2
 
 
-def test_solve_a_diagonal_fast_path():
+def test_solve_a_diagonal_fast_path(monkeypatch):
     rng = np.random.default_rng(2)
     a = np.diag(rng.uniform(0.5, 3.0, 6) * np.array([1, 1, 1, -1, -1, -1]))
+
+    def no_lu(*args, **kwargs):
+        raise AssertionError("a diagonal A must not be LU-factorized")
+
+    monkeypatch.setattr(scipy.linalg, "lu_factor", no_lu)
     spec = ManifoldSpec(a, signature(1, 1))
     y = rng.standard_normal((6, 2))
     assert np.allclose(spec.solve_a(y), np.linalg.solve(a, y), atol=1e-12)
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    """Raw float64 bit patterns, so -0.0 and +0.0 differ."""
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@pytest.mark.parametrize("diagonal", [True, False])
+def test_apply_a_bitwise_equals_dense_product(diagonal):
+    rng = np.random.default_rng(12)
+    n = 9
+    d = rng.uniform(0.5, 3.0, n) * np.where(np.arange(n) < 5, 1.0, -1.0)
+    a = np.diag(d) if diagonal else random_indefinite(rng, n, 5)
+    spec = ManifoldSpec(a, signature(1, 1))
+    x = rng.standard_normal((n, 4))
+    x[::3, 1] = 0.0           # +0 times negative diagonal entries gives -0
+    x[1::2, 2] = -0.0
+    for xin in (x, np.asfortranarray(x), x[:, 0], x[:, 1]):
+        out = spec.apply_a(xin)
+        assert out.flags.c_contiguous
+        assert np.array_equal(_bits(out), _bits(spec.A @ xin))
 
 
 def test_norm_a_is_spectral():
@@ -306,6 +335,23 @@ def test_gradient_duality():
         scale = max(np.linalg.norm(egrad) * np.linalg.norm(z.value), 1.0)
         worst = max(worst, abs(lhs - rhs) / scale)
     assert worst <= 1e-10
+
+
+def test_gradient_one_metric_solve_matches_two():
+    # M_X^{-1} is applied to [AX, egrad] in one solve; the result must equal
+    # bit for bit the gradient built from one solve per block
+    rng = np.random.default_rng(16)
+    n = 40
+    spec = random_spec(rng, n, 25, 2, 2, diagonal=True)
+    x = perturbed_point(spec, rng)
+    egrad = rng.standard_normal((n, 4))
+    for metric in metrics_for(rng, n):
+        ax = spec.A @ x
+        mi_ax = metric.apply_inverse(x, ax)
+        w1 = metric.apply_inverse(x, egrad)
+        u = solve_lyapunov(sym(ax.T @ mi_ax), 2.0 * sym(ax.T @ w1))
+        grad = riemannian_gradient(spec, metric, x, egrad)
+        assert np.array_equal(grad.value, w1 - mi_ax @ u)
 
 
 def test_gradient_euclidean_riesz_consistency():

@@ -323,3 +323,22 @@ def test_benchmark_scale_feasibility_drift():
     record = solve(problem, x0, SolverConfig(form="full", max_iter=3000))
     assert record.status == "converged"
     assert record.feas <= 1e-12
+
+
+@pytest.mark.parametrize("form", ["full", None])
+def test_diagonal_a_operator_keeps_iterates_bitwise(monkeypatch, form):
+    # the row-scaling A X of a diagonal A must drive the solver through the
+    # same iterates as the dense product A @ X it replaces; the full form's
+    # F-ordered iterates catch a result that is not C-ordered
+    n, p = 100, 70
+    a = np.diag(np.concatenate([np.arange(1.0, p + 1.0), -np.arange(float(n - p), 0.0, -1.0)]))
+    problem = trace_min_problem(gallery("lehmer", n), a, signature(3, 2), metric="hessian")
+    x0 = make_point(problem.spec)
+    config = SolverConfig(rstop=1e-9, form=form)
+    fast = solve(problem, x0, config)
+    monkeypatch.setattr(ManifoldSpec, "apply_a", lambda self, x: self.A @ x)
+    dense = solve(problem, x0, config)
+    assert fast.status == "converged" and fast.n_iter > 20
+    assert (fast.n_iter, fast.n_feval) == (dense.n_iter, dense.n_feval)
+    assert np.array_equal(fast.x, dense.x)
+    assert np.array_equal(fast.history()[:, 1], dense.history()[:, 1])

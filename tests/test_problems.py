@@ -22,6 +22,7 @@ from indefstiefel import (
     solve,
     trace_min_problem,
 )
+from indefstiefel import problems
 from indefstiefel import test_matrix as gallery
 from indefstiefel.problems import LREVP_REFERENCE_EIGENVALUES, LREVP_REFERENCE_OBJ
 
@@ -81,6 +82,28 @@ def test_trace_min_problem_cost_and_gradient():
     assert problem.f(x) == pytest.approx(np.trace(x.T @ m @ x), rel=1e-12)
     assert np.allclose(problem.egrad(x), 2 * m @ x)
     assert problem.descriptor["name"] == "tracemin"
+
+
+def test_trace_min_reuses_m_x_between_f_and_egrad(monkeypatch):
+    products = []
+    original = problems._LastProduct._product
+
+    def counted(self, x):
+        products.append(1)
+        return original(self, x)
+
+    monkeypatch.setattr(problems._LastProduct, "_product", counted)
+    rng = np.random.default_rng(2)
+    m = random_spd(rng, 6)
+    problem = trace_min_problem(m, np.diag([1.0, 2.0, 3.0, -1.0, -2.0, -3.0]), signature(2, 1))
+    x = make_point(problem.spec)
+    problem.f(x)
+    assert np.array_equal(problem.egrad(x.copy()), 2.0 * (m @ x))
+    assert len(products) == 1
+    # an in-place edit is a new point, never a stale product
+    x[0, 0] += 1.0
+    assert np.array_equal(problem.egrad(x), 2.0 * (m @ x))
+    assert len(products) == 2
 
 
 def test_trace_min_hessian_metric_requires_spd():
