@@ -20,14 +20,11 @@ from indefstiefel import (
     extract_eigenpairs,
     make_point,
     pencil_oracle,
+    signature,
     solve,
     test_matrix,
     trace_min_problem,
 )
-
-
-def signature(kp: int, km: int) -> np.ndarray:
-    return np.diag(np.concatenate([np.ones(kp), -np.ones(km)]))
 
 
 def run(m_mat, a, kp, km, metric="hessian", form=None, label=""):

@@ -15,9 +15,10 @@ from .linalg import (
     inertia,
     read_mtx,
     skew,
+    random_rotation,
+    signature,
     solve_lyapunov,
     sym,
-    sym_eig,
     test_matrix,
     write_mtx,
 )
@@ -30,7 +31,6 @@ from .manifold import (
     make_point,
     metric_inner,
     metric_norm,
-    project_normal,
     project_tangent,
     random_tangent,
     riemannian_gradient,
@@ -62,7 +62,6 @@ from .problems import (
 from .retraction import (
     CayleyCurve,
     CayleyForm,
-    EconCache,
     WellDefinednessError,
     cayley_radius_bound,
     default_form,

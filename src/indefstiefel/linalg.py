@@ -44,15 +44,15 @@ def skew(omega: np.ndarray) -> np.ndarray:
     return 0.5 * (omega - omega.T)
 
 
-def sym_eig(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Full symmetric eigendecomposition.
+def sign_counts(w: np.ndarray, tol: float = 1e-12) -> Inertia:
+    """Inertia of a symmetric matrix from its eigenvalues w.
 
-    Returns (w, v) with eigenvalues ``w`` ascending and orthonormal columns
-    ``v`` such that s = v @ diag(w) @ v.T.  Convergence failures of the
-    underlying LAPACK driver propagate as ``numpy.linalg.LinAlgError``.
+    An eigenvalue counts as zero when |lambda| <= tol * max |w|.
     """
-    s = np.asarray(s, dtype=float)
-    return np.linalg.eigh(s)
+    thresh = tol * (np.max(np.abs(w)) if w.size else 0.0)
+    n_pos = int(np.count_nonzero(w > thresh))
+    n_neg = int(np.count_nonzero(w < -thresh))
+    return Inertia(n_pos, n_neg, w.size - n_pos - n_neg)
 
 
 def inertia(s: np.ndarray, tol: float = 1e-12) -> Inertia:
@@ -61,13 +61,7 @@ def inertia(s: np.ndarray, tol: float = 1e-12) -> Inertia:
     An eigenvalue counts as zero when |lambda| <= tol * ||s||_2.  The zero
     matrix has inertia (0, 0, order).
     """
-    s = np.asarray(s, dtype=float)
-    w = np.linalg.eigvalsh(s)
-    scale = np.max(np.abs(w)) if w.size else 0.0
-    thresh = tol * scale
-    n_pos = int(np.count_nonzero(w > thresh))
-    n_neg = int(np.count_nonzero(w < -thresh))
-    return Inertia(n_pos, n_neg, w.size - n_pos - n_neg)
+    return sign_counts(np.linalg.eigvalsh(np.asarray(s, dtype=float)), tol)
 
 
 def solve_lyapunov(s: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -138,6 +132,20 @@ def test_matrix(name: str, n: int, param: float | None = None) -> np.ndarray:
         a[sub + 1, sub] = -1.0
         return a
     raise ValueError(f"unknown test matrix {name!r}")
+
+
+def signature(kp: int, km: int) -> np.ndarray:
+    """The signature matrix J = diag(I_kp, -I_km)."""
+    return np.diag(np.concatenate([np.ones(kp), -np.ones(km)]))
+
+
+def random_rotation(size: int, rng: np.random.Generator) -> np.ndarray:
+    """Random orthogonal matrix with determinant +1: the Q factor of a
+    standard normal draw, first column negated when det Q = -1."""
+    q = np.linalg.qr(rng.standard_normal((size, size)))[0]
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    return q
 
 
 def checked_solve(b: np.ndarray, rhs: np.ndarray, rcond_floor: float = 1e-14):

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 import scipy.linalg
 
-from .linalg import Inertia, inertia, skew, solve_lyapunov, sym
+from .linalg import inertia, sign_counts, skew, solve_lyapunov, sym
 
 __all__ = [
     "ManifoldSpec",
@@ -35,7 +35,6 @@ __all__ = [
     "metric_inner",
     "metric_norm",
     "project_tangent",
-    "project_normal",
     "riemannian_gradient",
 ]
 
@@ -55,13 +54,9 @@ class ManifoldSpec:
     held as its diagonal vector, so :meth:`apply_a` and :meth:`solve_a` are
     row scalings; any other A gets a cached LU factorization so A^{-1} is
     applied, never formed.  The dense ``A`` attribute stays for inspection.
-
-    ``a_eig=(w, v)`` optionally injects a known eigendecomposition of A
-    (used for inertia and for :func:`make_point`), avoiding an O(n^3)
-    factorization when A was built from its spectral form.
     """
 
-    def __init__(self, a: np.ndarray, j: np.ndarray, *, a_eig=None):
+    def __init__(self, a: np.ndarray, j: np.ndarray):
         a = np.asarray(a, dtype=float)
         j = np.asarray(j, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -81,11 +76,7 @@ class ManifoldSpec:
         # the diagonal of a diagonal A, else None
         self._a_diag = np.diag(self.A) if self._is_diagonal(self.A) else None
 
-        if a_eig is not None:
-            w, v = a_eig
-            self._a_eigvals = np.asarray(w, dtype=float)
-            self._a_eigvecs = np.asarray(v, dtype=float)
-        elif self._a_diag is not None:
+        if self._a_diag is not None:
             self._a_eigvals = self._a_diag
             self._a_eigvecs = None  # identity columns, materialized lazily
         else:
@@ -93,7 +84,7 @@ class ManifoldSpec:
             self._a_eigvecs = None
 
         self.norm_a = float(np.max(np.abs(self._a_eigvals)))
-        self.inertia_a = self._diag_inertia(self._a_eigvals)
+        self.inertia_a = sign_counts(self._a_eigvals)
         if self.inertia_a.n_zero > 0:
             raise ValueError("A is singular (zero eigenvalue within tolerance)")
         self.inertia_j = inertia(self.J)
@@ -115,13 +106,6 @@ class ManifoldSpec:
     def _is_diagonal(a: np.ndarray) -> bool:
         # every nonzero entry lies on the diagonal
         return np.count_nonzero(a) == np.count_nonzero(np.diag(a))
-
-    @staticmethod
-    def _diag_inertia(w: np.ndarray, tol: float = 1e-12) -> Inertia:
-        thresh = tol * (np.max(np.abs(w)) if w.size else 0.0)
-        n_pos = int(np.count_nonzero(w > thresh))
-        n_neg = int(np.count_nonzero(w < -thresh))
-        return Inertia(n_pos, n_neg, w.size - n_pos - n_neg)
 
     @property
     def dim(self) -> int:
@@ -347,14 +331,6 @@ def project_tangent(spec: ManifoldSpec, metric: MetricSpec, x: np.ndarray, y: np
     ax, mi_ax, s = _lyap_pieces(spec, metric, x)
     u = solve_lyapunov(s, 2.0 * sym(ax.T @ y))
     return TangentVector(base=x, value=y - mi_ax @ u)
-
-
-def project_normal(spec: ManifoldSpec, metric: MetricSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """g-orthogonal projection of Y onto the normal space at x."""
-    y = _value(y)
-    ax, mi_ax, s = _lyap_pieces(spec, metric, x)
-    u = solve_lyapunov(s, 2.0 * sym(ax.T @ y))
-    return mi_ax @ u
 
 
 def riemannian_gradient(spec: ManifoldSpec, metric: MetricSpec, x: np.ndarray, egrad: np.ndarray) -> TangentVector:

@@ -19,7 +19,6 @@ rstop times its initial value.  An end point whose feasibility
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 
@@ -56,7 +55,6 @@ class SolverConfig:
     max_iter: int = 20000
     max_backtracks: int = 60
     form: CayleyForm | str | None = None  # None = size-based default
-    bb_inner: str = "euclidean"  # "euclidean" | "metric" inner products in BB
 
 
 @dataclass
@@ -126,11 +124,6 @@ class RunRecord:
                     f"{int(row[0])},{row[1]:.17g},{row[2]:.17g},"
                     f"{row[3]:.17g},{row[4]:.17g},{row[5]:.6f}\n"
                 )
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.summary(), fh, indent=2)
-            fh.write("\n")
 
 
 def bb_trial_step(w: np.ndarray, y: np.ndarray, j: int, config: SolverConfig) -> float:
@@ -214,19 +207,9 @@ def solve(problem, x0: np.ndarray, config: SolverConfig | None = None) -> RunRec
             break
 
         if state.j > 0:
-            w = state.x - state.prev_x
-            y = state.z - state.prev_z
-            if config.bb_inner == "metric":
-                mw = metric.apply(state.x, w)
-                wy = abs(float(np.vdot(mw, y)))
-                if state.j % 2 == 1:
-                    num, den = float(np.vdot(mw, w)), wy
-                else:
-                    num, den = wy, float(np.vdot(y, metric.apply(state.x, y)))
-                gamma = num / den if den != 0.0 and np.isfinite(num / den) else config.gamma0
-                state.gamma = float(min(max(gamma, config.gamma_min), config.gamma_max))
-            else:
-                state.gamma = bb_trial_step(w, y, state.j, config)
+            state.gamma = bb_trial_step(
+                state.x - state.prev_x, state.z - state.prev_z, state.j, config
+            )
 
         try:
             tau, x_next, f_next, _ = nonmonotone_search(problem, state, config)

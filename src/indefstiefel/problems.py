@@ -35,20 +35,7 @@ __all__ = [
     "matrix_equation_problem",
     "consistent_solution",
     "pencil_oracle",
-    "LREVP_REFERENCE_OBJ",
-    "LREVP_REFERENCE_EIGENVALUES",
 ]
-
-# Reference values for the external electronic-structure LREVP dataset
-# (pencil order p = 5560, k = 4); recorded for users who supply that data,
-# never asserted by the test suite.
-LREVP_REFERENCE_OBJ = 2.240580760678145
-LREVP_REFERENCE_EIGENVALUES = (
-    0.541812517132466,
-    0.541812517132473,
-    0.541812517132498,
-    0.615143209274579,
-)
 
 
 @dataclass

@@ -8,16 +8,15 @@ satisfies S_{X,Z} A X = Z, and
 is a retraction wherever the resolvent exists.  The transform is a
 congruence: it keeps X^T A X whatever that matrix is, so roundoff drift in
 feasibility only adds up along a run.  The "full" form solves the n x n
-resolvent above.  The compact forms ("mid" and "econ", kept as names of the
-same kernel) write S_{X,Z} = U C U^T with U = [X J, Z] and
-C = [[skew(Z^T A X), -I], [I, 0]], and apply the Sherman-Morrison-Woodbury
-identity (as in Wen & Yin, Math. Prog. 2013):
+resolvent above.  The compact "econ" form writes S_{X,Z} = U C U^T with
+U = [X J, Z] and C = [[skew(Z^T A X), -I], [I, 0]], and applies the
+Sherman-Morrison-Woodbury identity (as in Wen & Yin, Math. Prog. 2013):
     R_X(t Z) = X + t U (I_2k - (t/2) C U^T A U)^{-1} C U^T A X,
 one 2k x 2k solve per step size.  This is the same map as the full form at
 any base point, feasible or not.
 
 Unlike the orthogonal-A case, the map is not globally defined: the curve can
-leave through a singularity of the resolvent in finite t.  All forms raise
+leave through a singularity of the resolvent in finite t.  Both forms raise
 WellDefinednessError when their linear system is singular to working
 precision; callers treat that as "shrink the step", not as a crash.  By
 Sylvester's determinant identity det(I_n - (t/2) S A) =
@@ -28,17 +27,15 @@ the n x n one is.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import checked_solve, skew, sym
+from .linalg import checked_solve, skew
 from .manifold import ManifoldSpec, TangentVector, _value
 
 __all__ = [
     "CayleyForm",
     "WellDefinednessError",
-    "EconCache",
     "CayleyCurve",
     "s_matrix",
     "retract",
@@ -60,7 +57,6 @@ class WellDefinednessError(RuntimeError):
 
 class CayleyForm(str, enum.Enum):
     FULL = "full"
-    MID = "mid"
     ECON = "econ"
 
 
@@ -84,39 +80,12 @@ def s_matrix(spec: ManifoldSpec, x: np.ndarray, z) -> np.ndarray:
     return xj @ (core @ (spec.J @ x.T)) - xj @ z.T + z @ (spec.J @ x.T)
 
 
-@dataclass
-class EconCache:
-    """The split Z = X M + Lambda of a tangent Z at a feasible X.
-
-    x_plus = J X^T A satisfies x_plus @ X = I_k; M = x_plus @ Z;
-    Lambda = Z - X M has x_plus @ Lambda = 0; lpl = Lambda+ Lambda.  These
-    identities hold only when X^T A X = J exactly, which is why CayleyCurve
-    does not use them: its compact forms must stay exact off the manifold.
-    """
-
-    x_plus: np.ndarray
-    m: np.ndarray
-    lam: np.ndarray
-    lpl: np.ndarray
-
-    @staticmethod
-    def build(spec: ManifoldSpec, x: np.ndarray, z: np.ndarray) -> "EconCache":
-        ax = spec.apply_a(x)
-        x_plus = spec.J @ ax.T
-        # J M = X^T A Z is skew for tangent Z; re-skew so the reduced forms
-        # inherit the feasibility-preserving structure of the full transform
-        m = spec.J @ skew(ax.T @ z)
-        lam = z - x @ m
-        lpl = spec.J @ (lam.T @ spec.apply_a(lam))
-        return EconCache(x_plus=x_plus, m=m, lam=lam, lpl=lpl)
-
-
 class CayleyCurve:
     """The curve t -> R_X(t Z) for fixed (X, Z), reusable across step sizes.
 
     Construction does the one-time O(n^2 k) work; ``at(t)`` then costs one
-    linear solve of the form's size: n for "full", 2k for "mid" and "econ",
-    which evaluate the same exact transform through the Woodbury identity.
+    linear solve of the form's size: n for "full", 2k for "econ", which
+    evaluates the same exact transform through the Woodbury identity.
     """
 
     def __init__(self, spec: ManifoldSpec, x: np.ndarray, z, form: CayleyForm | str | None = None):

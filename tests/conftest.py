@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from indefstiefel import ManifoldSpec, make_point, random_tangent, retract
+from indefstiefel import ManifoldSpec, make_point, random_tangent, retract, signature
 
 
 def random_spd(rng: np.random.Generator, n: int, lo: float = 0.5, hi: float = 5.0) -> np.ndarray:
@@ -26,10 +26,6 @@ def random_indefinite(
     return 0.5 * (a + a.T)
 
 
-def signature(kp: int, km: int) -> np.ndarray:
-    return np.diag(np.concatenate([np.ones(kp), -np.ones(km)]))
-
-
 def random_spec(
     rng: np.random.Generator, n: int, p: int, kp: int, km: int, diagonal: bool = False
 ) -> ManifoldSpec:
@@ -42,14 +38,6 @@ def random_spec(
     else:
         a = random_indefinite(rng, n, p)
     return ManifoldSpec(a, signature(kp, km))
-
-
-def identity_component_orthogonal(size: int, rng: np.random.Generator) -> np.ndarray:
-    """Random orthogonal matrix with determinant +1 (rotation component)."""
-    q = np.linalg.qr(rng.standard_normal((size, size)))[0]
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
-    return q
 
 
 def perturbed_point(

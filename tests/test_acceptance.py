@@ -30,12 +30,14 @@ from indefstiefel import (
     pencil_oracle,
     procrustes_problem,
     project_tangent,
+    random_rotation,
     random_tangent,
     retract,
     retraction_axioms_check,
     riemannian_gradient,
     s_matrix,
     second_order_defect,
+    signature,
     solve,
     solve_lyapunov,
     sym,
@@ -44,13 +46,7 @@ from indefstiefel import (
 )
 from indefstiefel import test_matrix as gallery
 
-from conftest import (
-    identity_component_orthogonal,
-    perturbed_point,
-    random_spd,
-    random_spec,
-    signature,
-)
+from conftest import perturbed_point, random_spd, random_spec
 from test_retraction import defect_instance, hyperbola
 
 
@@ -64,8 +60,8 @@ def report(label: str, **measured) -> None:
 
 def block_diag_orthogonal(p: int, m: int, rng: np.random.Generator) -> np.ndarray:
     v = np.zeros((p + m, p + m))
-    v[:p, :p] = identity_component_orthogonal(p, rng)
-    v[p:, p:] = identity_component_orthogonal(m, rng)
+    v[:p, :p] = random_rotation(p, rng)
+    v[p:, p:] = random_rotation(m, rng)
     return v
 
 
@@ -146,10 +142,7 @@ def test_tridiagonal_benchmark_n2000_and_generator_battery():
     ):
         m_mat = gallery(name, n, param)
         problem = trace_min_problem(m_mat, a, signature(5, 5), metric="hessian")
-        # ill-conditioned metrics here, solved on the n x n kernel
-        record = solve(
-            problem, make_point(problem.spec), SolverConfig(rstop=1e-9, form="full")
-        )
+        record = solve(problem, make_point(problem.spec), SolverConfig(rstop=1e-9))
         _, _, f_star = pencil_oracle(m_mat, a, 5, 5)
         assert record.status == "converged", name
         rel = abs(record.obj - f_star) / abs(f_star)
@@ -199,9 +192,9 @@ def test_random_pencils_match_dense_oracle():
 def test_retraction_property_suite():
     rng = np.random.default_rng(11)
 
-    # R(0) = X to 1e-13, all three forms
+    # R(0) = X to 1e-13: both forms and the width-based default
     worst_r1 = 0.0
-    for form in ("full", "mid", "econ"):
+    for form in ("full", None, "econ"):
         spec = random_spec(rng, 14, 9, 2, 2)
         x = make_point(spec)
         z = random_tangent(spec, x, rng)
@@ -223,7 +216,7 @@ def test_retraction_property_suite():
     assert errs[0] / errs[1] >= 30.0
     assert errs[1] / errs[2] >= 30.0
 
-    # 1000 random draws: feasibility preserved and the three forms agree
+    # 1000 random draws: feasibility preserved and the two forms agree
     worst_feas, worst_gap = 0.0, 0.0
     for trial in range(1000):
         n = int(rng.integers(4, 21))
@@ -237,7 +230,7 @@ def test_retraction_property_suite():
         z = random_tangent(spec, x, rng)
         t = float(rng.uniform(0.05, 1.0))
         results = {}
-        for form in ("full", "mid", "econ"):
+        for form in ("full", "econ"):
             try:
                 results[form] = retract(spec, x, z, t, form=form)
             except WellDefinednessError:
@@ -249,8 +242,7 @@ def test_retraction_property_suite():
             worst_feas = max(worst_feas, feasibility(spec, y))
         base = results["full"]
         scale = 1.0 + np.linalg.norm(base)
-        for form in ("mid", "econ"):
-            worst_gap = max(worst_gap, np.linalg.norm(results[form] - base) / scale)
+        worst_gap = max(worst_gap, np.linalg.norm(results["econ"] - base) / scale)
     assert worst_feas <= 1e-8
     assert worst_gap <= 1e-9
 
@@ -259,7 +251,7 @@ def test_retraction_property_suite():
     spec2, x2, z2 = hyperbola()
     sa = s_matrix(spec2, x2, z2) @ spec2.A
     assert np.array_equal(sa, np.array([[0.0, 1.0], [1.0, 0.0]]))
-    for form in ("full", "mid", "econ"):
+    for form in ("full", "econ"):
         with pytest.raises(WellDefinednessError):
             retract(spec2, x2, z2, 2.0, form=form)
 

@@ -3,11 +3,20 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from indefstiefel import HISTORY_COLUMNS, feasibility, metric_norm, optimizer, riemannian_gradient
+from indefstiefel import (
+    HISTORY_COLUMNS,
+    RunRecord,
+    cli,
+    feasibility,
+    metric_norm,
+    optimizer,
+    riemannian_gradient,
+)
 from indefstiefel.cli import (
     ExperimentConfig,
     build_parser,
@@ -274,17 +283,35 @@ def test_batch_worst_exit_code_wins(tmp_path):
 
 
 def test_verify_passes_and_reports_each_check(capsys):
-    assert main(["verify", "--seed", "0"]) == 0
-    out = capsys.readouterr().out
-    lines = [ln for ln in out.splitlines() if ln.strip()]
-    assert all(ln.startswith("pass") for ln in lines if not ln.startswith("all"))
-    assert sum(ln.startswith("pass") for ln in lines) >= 12
-    assert "singular" in out
-    assert "FAIL" not in out
+    assert main(["verify"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    for check in ("starting point feasible", "dense pencil oracle", "end point feasible"):
+        assert any(ln.startswith("pass") and check in ln for ln in lines), check
+    assert not any(ln.startswith("FAIL") for ln in lines)
+    assert lines[-1] == "all checks passed"
 
 
-def test_verify_covers_core_properties(capsys):
-    main(["verify", "--seed", "1"])
+def test_verify_fails_on_wrong_end_point(monkeypatch, capsys):
+    # a solver that reports convergence at a scaled start: off the manifold
+    # and away from the oracle's minimum
+    def wrong_solve(problem, x0, config=None):
+        x = 1.01 * x0
+        return RunRecord(status="converged", x=x, rows=[(0, problem.f(x), 0.0, 0.0, 0.0, 0.0)])
+
+    monkeypatch.setattr(cli, "solve", wrong_solve)
+    assert main(["verify"]) == 1
     out = capsys.readouterr().out
-    for needle in ("dimension", "retraction", "projection", "gradient", "feasib"):
-        assert needle in out, needle
+    assert "pass  starting point feasible" in out
+    assert "FAIL  solver matches the dense pencil oracle" in out
+    assert "FAIL  end point feasible" in out
+    assert "2 failure(s)" in out
+
+
+# ---------------------------------------------------- checked-in batch configs
+
+
+def test_script_configs_parse_and_validate():
+    paths = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.cfg"))
+    assert len(paths) >= 3
+    for path in paths:
+        ExperimentConfig(**parse_config_file(path)).validate()

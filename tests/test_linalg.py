@@ -11,11 +11,12 @@ from indefstiefel import (
     Inertia,
     checked_solve,
     inertia,
+    random_rotation,
     read_mtx,
+    signature,
     skew,
     solve_lyapunov,
     sym,
-    sym_eig,
     write_mtx,
 )
 
@@ -47,15 +48,6 @@ def test_sym_rejects_nonsquare():
         skew(np.ones((2, 5)))
 
 
-def test_sym_eig_reconstructs():
-    rng = np.random.default_rng(1)
-    s = sym(rng.standard_normal((9, 9)))
-    w, q = sym_eig(s)
-    assert np.all(np.diff(w) >= 0)
-    assert np.allclose(q @ q.T, np.eye(9), atol=1e-12)
-    assert np.allclose((q * w) @ q.T, s, atol=1e-12)
-
-
 def test_inertia_counts():
     diag = np.concatenate([np.arange(1.0, 151.0), -np.arange(50.0, 0.0, -1.0)])
     result = inertia(np.diag(diag))
@@ -66,6 +58,16 @@ def test_inertia_counts():
     # relative threshold: 1e-16 is a zero next to eigenvalues of size 3
     assert inertia(np.diag([2.0, -3.0, 1e-16])) == Inertia(1, 1, 1)
     assert inertia(np.eye(3)) == Inertia(3, 0, 0)
+
+
+def test_signature_and_rotation():
+    assert np.array_equal(signature(2, 1), np.diag([1.0, 1.0, -1.0]))
+    assert inertia(signature(0, 3)) == Inertia(0, 3, 0)
+    rng = np.random.default_rng(3)
+    for size in (1, 2, 5):
+        q = random_rotation(size, rng)
+        assert np.allclose(q.T @ q, np.eye(size), atol=1e-14)
+        assert np.linalg.det(q) == pytest.approx(1.0)
 
 
 def test_lyapunov_matches_kronecker_oracle():

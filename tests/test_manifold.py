@@ -15,17 +15,17 @@ from indefstiefel import (
     make_point,
     metric_inner,
     metric_norm,
-    project_normal,
     project_tangent,
     random_tangent,
     riemannian_gradient,
+    signature,
     skew,
     solve_lyapunov,
     sym,
     tangency_residual,
 )
 
-from conftest import perturbed_point, random_indefinite, random_spd, random_spec, signature
+from conftest import perturbed_point, random_indefinite, random_spd, random_spec
 
 
 def tangent_basis(spec, x):
@@ -275,10 +275,9 @@ def test_projection_properties():
         for metric in metrics_for(rng, n):
             y = rng.standard_normal((n, kp + km))
             pt = project_tangent(spec, metric, x, y)
-            pn = project_normal(spec, metric, x, y)
+            pn = y - pt.value
             scale = max(np.linalg.norm(y), 1.0)
-            # decomposition, tangency, idempotence, orthogonality
-            assert np.linalg.norm(pt.value + pn - y) <= 1e-10 * scale
+            # tangency, idempotence, metric orthogonality of the remainder
             assert tangency_residual(spec, x, pt.value) <= 1e-8 * scale * np.linalg.norm(spec.A @ x)
             twice = project_tangent(spec, metric, x, pt.value)
             assert np.linalg.norm(twice.value - pt.value) <= 1e-9 * scale

@@ -22,13 +22,14 @@ from indefstiefel import (
     pencil_oracle,
     random_tangent,
     riemannian_gradient,
+    signature,
     solve,
     trace_min_problem,
 )
 from indefstiefel import optimizer
 from indefstiefel import test_matrix as gallery
 
-from conftest import perturbed_point, random_spd, signature
+from conftest import perturbed_point, random_spd
 
 
 def hyperbola_problem():
@@ -103,18 +104,10 @@ def test_diagonal_pencil_matches_oracle():
     assert record.obj == pytest.approx(f_star, rel=1e-9)
 
 
-@pytest.mark.parametrize("form", ["full", "mid", "econ"])
+@pytest.mark.parametrize("form", ["full", "econ"])
 def test_forms_reach_same_minimum(form):
     problem, x0, m, a = small_pencil_problem(seed=1)
     record = solve(problem, x0, SolverConfig(form=form, max_iter=2000))
-    _, _, f_star = pencil_oracle(m, a, 1, 1)
-    assert record.status == "converged"
-    assert record.obj == pytest.approx(f_star, rel=1e-8)
-
-
-def test_metric_bb_variant_converges():
-    problem, x0, m, a = small_pencil_problem(seed=2)
-    record = solve(problem, x0, SolverConfig(bb_inner="metric", max_iter=2000))
     _, _, f_star = pencil_oracle(m, a, 1, 1)
     assert record.status == "converged"
     assert record.obj == pytest.approx(f_star, rel=1e-8)
@@ -274,17 +267,15 @@ def test_record_csv_and_json(tmp_path):
     problem, x0, _, _ = small_pencil_problem(seed=14)
     record = solve(problem, x0, SolverConfig(max_iter=20, rstop=1e-16))
     csv_path = tmp_path / "history.csv"
-    json_path = tmp_path / "summary.json"
     record.to_csv(csv_path)
-    record.to_json(json_path)
 
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "iter,f,gradnorm,tau,feas,time_s"
     parsed = np.loadtxt(csv_path, delimiter=",", skiprows=1)
     assert np.allclose(parsed[:, :5], record.history()[:, :5], rtol=1e-15)
 
-    loaded = json.loads(json_path.read_text())
-    assert loaded == pytest.approx(record.summary(), rel=1e-15) or loaded == record.summary()
+    # the summary is what the command line writes to summary.json
+    assert json.loads(json.dumps(record.summary())) == record.summary()
 
 
 # -------------------------------------------------------------- gradient check

@@ -19,14 +19,15 @@ from indefstiefel import (
     matrix_equation_problem,
     pencil_oracle,
     procrustes_problem,
+    random_rotation,
+    signature,
     solve,
     trace_min_problem,
 )
 from indefstiefel import problems
 from indefstiefel import test_matrix as gallery
-from indefstiefel.problems import LREVP_REFERENCE_EIGENVALUES, LREVP_REFERENCE_OBJ
 
-from conftest import identity_component_orthogonal, perturbed_point, random_spd, signature
+from conftest import perturbed_point, random_spd
 
 
 # ---------------------------------------------------------------- pencil oracle
@@ -208,12 +209,6 @@ def test_lrevp_validates_shapes():
         lrevp_problem(np.eye(3), np.eye(3), 4)
 
 
-def test_lrevp_reference_constants_shape():
-    # recorded values for an external dataset; available to users, never asserted on runs
-    assert len(LREVP_REFERENCE_EIGENVALUES) == 4
-    assert LREVP_REFERENCE_OBJ > 0
-
-
 # ----------------------------------------------------------------- procrustes
 
 
@@ -222,8 +217,8 @@ def test_procrustes_exact_fit_objective():
     n, p = 8, 5
     j = signature(p, n - p)
     g = rng.standard_normal((10, n))
-    v1 = identity_component_orthogonal(p, rng)
-    v2 = identity_component_orthogonal(n - p, rng)
+    v1 = random_rotation(p, rng)
+    v2 = random_rotation(n - p, rng)
     v = np.zeros((n, n))
     v[:p, :p], v[p:, p:] = v1, v2
     b = g @ v
@@ -239,8 +234,8 @@ def test_procrustes_desk_replica_converges_to_consistent_fit():
     p = 35
     j = signature(p, n - p)
     g = rng.standard_normal((l, n))
-    v1 = identity_component_orthogonal(p, rng)
-    v2 = identity_component_orthogonal(n - p, rng)
+    v1 = random_rotation(p, rng)
+    v2 = random_rotation(n - p, rng)
     v = np.zeros((n, n))
     v[:p, :p], v[p:, p:] = v1, v2
     problem = procrustes_problem(g, g @ v, j)

@@ -8,7 +8,6 @@ import pytest
 from indefstiefel import (
     CayleyCurve,
     CayleyForm,
-    EconCache,
     ManifoldSpec,
     WellDefinednessError,
     cayley_radius_bound,
@@ -28,7 +27,7 @@ from indefstiefel import (
 
 from conftest import random_spd, random_spec
 
-FORMS = ("full", "mid", "econ")
+FORMS = ("full", "econ")
 
 
 def hyperbola():
@@ -183,11 +182,7 @@ def test_feasibility_preserved_and_forms_agree():
         scale = max(np.linalg.norm(spec.J), 1.0)
         worst_feas = max(worst_feas, max(feasibility(spec, y) for y in ys) / scale)
         ref = max(np.linalg.norm(ys[0]), 1.0)
-        worst_cross = max(
-            worst_cross,
-            np.linalg.norm(ys[0] - ys[1]) / ref,
-            np.linalg.norm(ys[0] - ys[2]) / ref,
-        )
+        worst_cross = max(worst_cross, np.linalg.norm(ys[0] - ys[1]) / ref)
     assert worst_feas <= 1e-8
     assert worst_cross <= 1e-9
 
@@ -220,12 +215,9 @@ def test_compact_forms_exact_off_the_manifold():
         gram = x.T @ (spec.A @ x)
         gram_scale = max(np.linalg.norm(gram), 1.0)
         ref = max(np.linalg.norm(ys["full"]), 1.0)
-        for form in ("mid", "econ"):
-            y = ys[form]
-            worst_cross = max(worst_cross, np.linalg.norm(y - ys["full"]) / ref)
-            worst_gram = max(
-                worst_gram, np.linalg.norm(y.T @ (spec.A @ y) - gram) / gram_scale
-            )
+        y = ys["econ"]
+        worst_cross = max(worst_cross, np.linalg.norm(y - ys["full"]) / ref)
+        worst_gram = max(worst_gram, np.linalg.norm(y.T @ (spec.A @ y) - gram) / gram_scale)
     assert evaluated >= 50
     assert worst_cross <= 1e-12
     assert worst_gram <= 1e-12
@@ -321,23 +313,6 @@ def test_second_order_defect_zero_direction():
     x = make_point(spec)
     d = second_order_defect(spec, x, np.zeros((6, 3)))
     assert np.linalg.norm(d) == 0.0
-
-
-# -------------------------------------------------------------- econ-form cache
-
-
-def test_econ_cache_identities():
-    rng = np.random.default_rng(10)
-    spec = random_spec(rng, 9, 6, 2, 1)
-    x = make_point(spec)
-    z = random_tangent(spec, x, rng).value
-    cache = EconCache.build(spec, x, z)
-    k = spec.k
-    assert np.allclose(cache.x_plus @ x, np.eye(k), atol=1e-10)
-    assert np.allclose(cache.x_plus @ cache.lam, np.zeros((k, k)), atol=1e-9)
-    assert np.allclose(cache.m, spec.J @ skew(x.T @ (spec.A @ z)), atol=1e-12)
-    lam_plus = spec.J @ cache.lam.T @ spec.A
-    assert np.allclose(cache.lpl, lam_plus @ cache.lam, atol=1e-9)
 
 
 def test_well_definedness_error_is_runtime_error():
