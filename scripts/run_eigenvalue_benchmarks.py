@@ -27,9 +27,9 @@ from indefstiefel import (
 )
 
 
-def run(m_mat, a, kp, km, metric="hessian", form=None, label=""):
+def run(m_mat, a, kp, km, metric="hessian", label=""):
     problem = trace_min_problem(m_mat, a, signature(kp, km), metric=metric)
-    record = solve(problem, make_point(problem.spec), SolverConfig(rstop=1e-9, form=form))
+    record = solve(problem, make_point(problem.spec), SolverConfig(rstop=1e-9))
     result = extract_eigenpairs(m_mat, problem.spec, record.x, kp, km)
     print(
         f"{label:34s} {record.status:9s} obj={record.obj:.9e} iter={record.n_iter:5d} "
@@ -50,7 +50,7 @@ def main() -> int:
     a = np.diag(np.concatenate([np.arange(1.0, p + 1.0), -np.arange(float(m), 0.0, -1.0)]))
     print("== lehmer n=200, metric comparison ==")
     for kp, km in ((3, 2), (15, 5)):
-        run(lehmer, a, kp, km, metric="hessian", form="full",
+        run(lehmer, a, kp, km, metric="hessian",
             label=f"lehmer (k,kp,km)=({kp + km},{kp},{km}) M_X=M")
     run(lehmer, a, 3, 2, metric="euclidean", label="lehmer (5,3,2) M_X=I")
 
@@ -69,7 +69,7 @@ def main() -> int:
         ("lehmer", None), ("gcdmat", None), ("moler", 0.5), ("minij", None), ("kms", 0.5)
     ):
         m_mat = test_matrix(name, n, param)
-        record = run(m_mat, a, 5, 5, form="full", label=f"{name} (10,5,5)")
+        record = run(m_mat, a, 5, 5, label=f"{name} (10,5,5)")
         _, _, f_star = pencil_oracle(m_mat, a, 5, 5)
         rel = abs(record.obj - f_star) / abs(f_star)
         print(f"{'':34s} oracle f*={f_star:.9e} rel_err={rel:.2e}")

@@ -13,7 +13,7 @@ plus eigenvalue residual or recovery distance when applicable),
 ``history.csv`` (columns ``iter,f,gradnorm,tau,feas,time_s``),
 ``config.txt`` (resolved key = value echo), ``x_final.npy``.
 
-Exit codes: 0 converged, 1 configuration error, 2 iteration budget
+Exit codes: 0 converged, 1 configuration or usage error, 2 iteration budget
 exhausted, 3 line search stalled, 4 end point infeasible.
 """
 
@@ -48,23 +48,24 @@ MATRIX_KINDS = ("lehmer", "minij", "kms", "gcdmat", "moler", "tridiag")
 
 
 class ConfigError(ValueError):
-    """Invalid experiment configuration; maps to exit code 1."""
+    """Invalid experiment configuration or command line; maps to exit code 1."""
 
 
 @dataclass
 class ExperimentConfig:
     """One experiment: problem kind, sizes, generators, solver knobs, outputs.
 
-    Field names double as config-file keys and (hyphenated) CLI flags.
+    Field names double as config-file keys and (hyphenated) CLI flags; each
+    value is parsed by the type its annotation names.  A has p positive and
+    m = n - p negative eigenvalues, and tracemin's J = diag(I_kp, -I_km) has
+    km = k - kp.
     """
 
     problem: str = "tracemin"
     n: int = 200
     p: int = 150
-    m: int = 50
     k: int = 5
     kp: int = 3
-    km: int = 2
     l: int | None = None
     matrix: str = "lehmer"
     matrix_param: float | None = None
@@ -90,7 +91,7 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown matrix {self.matrix!r}; choose from {', '.join(MATRIX_KINDS)}"
             )
-        for name in ("n", "p", "m", "k", "kp", "km"):
+        for name in ("n", "p", "k", "kp"):
             value = getattr(self, name)
             if value < 0:
                 raise ConfigError(f"{name} = {value} must be nonnegative")
@@ -98,28 +99,27 @@ class ExperimentConfig:
             raise ConfigError(f"rstop = {self.rstop} must be nonnegative")
         if self.max_iter < 1:
             raise ConfigError(f"max_iter = {self.max_iter} must be at least 1")
+        if self.problem != "lrevp" and self.p > self.n:
+            raise ConfigError(
+                f"p = {self.p} exceeds n = {self.n}; {self.problem} needs p <= n"
+            )
 
         if self.problem == "tracemin":
-            if self.p + self.m != self.n:
-                raise ConfigError(
-                    f"p + m = {self.p + self.m} must equal n = {self.n}"
-                )
-            if self.kp + self.km != self.k:
-                raise ConfigError(
-                    f"kp + km = {self.kp + self.km} must equal k = {self.k}"
-                )
+            if self.k < 1:
+                raise ConfigError(f"k = {self.k} must be at least 1")
+            if self.kp > self.k:
+                raise ConfigError(f"kp = {self.kp} exceeds k = {self.k}; tracemin needs kp <= k")
             if self.kp > self.p:
                 raise ConfigError(
                     f"kp = {self.kp} exceeds p = {self.p}; the manifold is empty "
                     "unless kp <= p (positive inertia of J bounded by that of A)"
                 )
-            if self.km > self.m:
+            km, m = self.k - self.kp, self.n - self.p
+            if km > m:
                 raise ConfigError(
-                    f"km = {self.km} exceeds m = {self.m}; the manifold is empty "
+                    f"km = k - kp = {km} exceeds m = n - p = {m}; the manifold is empty "
                     "unless km <= m (negative inertia of J bounded by that of A)"
                 )
-            if self.k < 1:
-                raise ConfigError(f"k = {self.k} must be at least 1")
         elif self.problem == "lrevp":
             if self.k < 1:
                 raise ConfigError(f"k = {self.k} must be at least 1")
@@ -128,17 +128,9 @@ class ExperimentConfig:
                     f"k = {self.k} exceeds p = {self.p}; lrevp needs k <= p"
                 )
         elif self.problem == "procrustes":
-            if self.p > self.n:
-                raise ConfigError(
-                    f"p = {self.p} exceeds n = {self.n}; procrustes needs p <= n"
-                )
             if self.l is not None and self.l < 1:
                 raise ConfigError(f"l = {self.l} must be at least 1")
         elif self.problem == "matexeq":
-            if self.p + self.m != self.n:
-                raise ConfigError(
-                    f"p + m = {self.p + self.m} must equal n = {self.n}"
-                )
             if self.k > self.p:
                 raise ConfigError(
                     f"k = {self.k} exceeds p = {self.p}; the manifold is empty "
@@ -156,25 +148,24 @@ class ExperimentConfig:
         return out
 
 
+# field annotations, e.g. "int" or "float | None"
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
-_INT_FIELDS = {"n", "p", "m", "k", "kp", "km", "l", "max_iter", "seed"}
-_FLOAT_FIELDS = {"matrix_param", "rstop"}
+_PARSERS = {"int": int, "float": float, "str": str}
 
 
 def _coerce(key: str, raw: str):
+    """Parse one config-file or flag value by the annotation of field ``key``;
+    "none" or an empty value is None where the annotation allows it."""
     if key not in _FIELD_TYPES:
         raise ConfigError(f"unknown config key {key!r}")
     text = raw.strip()
-    if text.lower() in ("none", ""):
+    base, _, optional = _FIELD_TYPES[key].partition(" | ")
+    if optional and text.lower() in ("none", ""):
         return None
     try:
-        if key in _INT_FIELDS:
-            return int(text)
-        if key in _FLOAT_FIELDS:
-            return float(text)
+        return _PARSERS[base](text)
     except ValueError as exc:
         raise ConfigError(f"config key {key!r}: cannot parse {text!r}") from exc
-    return text
 
 
 def parse_config_file(path) -> dict:
@@ -196,41 +187,32 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
     values: dict = {}
     if getattr(args, "config", None):
         values.update(parse_config_file(args.config))
-    for field_ in dataclasses.fields(ExperimentConfig):
-        flag_value = getattr(args, field_.name, None)
-        if flag_value is not None:
-            values[field_.name] = flag_value
-    known = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    unknown = set(values) - known
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    for name in _FIELD_TYPES:
+        raw = getattr(args, name, None)
+        if raw is not None:
+            values[name] = _coerce(name, raw)
     config = ExperimentConfig(**values)
     config.validate()
     return config
 
 
-def build_problem(config: ExperimentConfig) -> tuple[Problem, np.ndarray, dict]:
-    """Instantiate (problem, x0, extras) for the configured benchmark.
+def build_problem(config: ExperimentConfig) -> tuple[Problem, np.ndarray, np.ndarray | None]:
+    """Instantiate (problem, x0, prescribed) for the configured benchmark.
 
-    extras carries whatever the summary needs beyond the run record:
-    (kp, km) for eigenpair extraction on tracemin/lrevp, the prescribed
-    solution for recovery problems.
+    prescribed is the known solution of the recovery problems (procrustes,
+    matexeq); None for the eigenvalue problems, which carry their pencil.
     """
     rng = np.random.default_rng(config.seed)
-    extras: dict = {}
+    n, p, m, k = config.n, config.p, config.n - config.p, config.k
 
     if config.problem == "tracemin":
-        m_mat = test_matrix(config.matrix, config.n, config.matrix_param)
-        a_diag = np.concatenate(
-            [np.arange(1.0, config.p + 1.0), -np.arange(float(config.m), 0.0, -1.0)]
-        )
+        m_mat = test_matrix(config.matrix, n, config.matrix_param)
+        a_diag = np.concatenate([np.arange(1.0, p + 1.0), -np.arange(float(m), 0.0, -1.0)])
         problem = trace_min_problem(
-            m_mat, np.diag(a_diag), signature(config.kp, config.km),
+            m_mat, np.diag(a_diag), signature(config.kp, k - config.kp),
             metric=config.metric,
         )
-        x0 = make_point(problem.spec)
-        extras["pencil"] = (m_mat, config.kp, config.km)
-        return problem, x0, extras
+        return problem, make_point(problem.spec), None
 
     if config.problem == "lrevp":
         if (config.mtx_k is None) != (config.mtx_m is None):
@@ -244,24 +226,17 @@ def build_problem(config: ExperimentConfig) -> tuple[Problem, np.ndarray, dict]:
                     "lrevp needs matching square matrices"
                 )
             p = k_mat.shape[0]
-            if config.k > p:
-                raise ConfigError(f"k = {config.k} exceeds matrix size p = {p}")
+            if k > p:
+                raise ConfigError(f"k = {k} exceeds matrix size p = {p}")
         else:
-            p = config.p
             k_mat = _random_spd(p, rng)
             m_mat = _random_spd(p, rng)
-        problem = lrevp_problem(k_mat, m_mat, config.k, metric=config.metric)
-        x0 = lrevp_initial_guess(p, config.k, rng)
-        h_mat = np.zeros((2 * p, 2 * p))
-        h_mat[:p, :p] = k_mat
-        h_mat[p:, p:] = m_mat
-        extras["pencil"] = (h_mat, config.k, 0)
-        return problem, x0, extras
+        problem = lrevp_problem(k_mat, m_mat, k, metric=config.metric)
+        return problem, lrevp_initial_guess(p, k, rng), None
 
     if config.problem == "procrustes":
-        l = config.l if config.l is not None else config.n
-        p, m = config.p, config.n - config.p
-        g = rng.standard_normal((l, config.n))
+        l = config.l if config.l is not None else n
+        g = rng.standard_normal((l, n))
         v1 = random_rotation(p, rng)
         v2 = random_rotation(m, rng)
         v = np.block(
@@ -269,12 +244,9 @@ def build_problem(config: ExperimentConfig) -> tuple[Problem, np.ndarray, dict]:
         )
         b = g @ v
         problem = procrustes_problem(g, b, signature(p, m), metric=config.metric)
-        x0 = np.eye(config.n)
-        extras["prescribed"] = v
-        return problem, x0, extras
+        return problem, np.eye(n), v
 
     # matexeq
-    n, p, m, k = config.n, config.p, config.m, config.k
     basis = np.linalg.qr(rng.standard_normal((n, n)))[0]
     a_eigs = np.concatenate([np.arange(1.0, p + 1.0), -np.arange(float(m), 0.0, -1.0)])
     a = sym((basis * a_eigs) @ basis.T)
@@ -283,9 +255,7 @@ def build_problem(config: ExperimentConfig) -> tuple[Problem, np.ndarray, dict]:
     x_star = make_point(spec, pos_indices=np.arange(k))
     b = g @ x_star
     problem = matrix_equation_problem(g, b, a, metric=config.metric)
-    x0 = make_point(problem.spec, pos_indices=np.arange(p - k, p))
-    extras["prescribed"] = x_star
-    return problem, x0, extras
+    return problem, make_point(problem.spec, pos_indices=np.arange(p - k, p)), x_star
 
 
 def _random_spd(p: int, rng: np.random.Generator) -> np.ndarray:
@@ -295,17 +265,17 @@ def _random_spd(p: int, rng: np.random.Generator) -> np.ndarray:
 
 def run_experiment(config: ExperimentConfig) -> tuple[RunRecord, Problem, dict]:
     """Build and solve the configured problem; returns (record, problem, summary)."""
-    problem, x0, extras = build_problem(config)
+    problem, x0, prescribed = build_problem(config)
     record = solve(problem, x0, SolverConfig(rstop=config.rstop, max_iter=config.max_iter))
     summary = record.summary()
     summary["problem"] = config.problem
     summary["seed"] = config.seed
-    if "pencil" in extras:
-        pencil_m, kp, km = extras["pencil"]
-        result = extract_eigenpairs(pencil_m, problem.spec, record.x, kp, km)
+    if problem.pencil_m is not None:
+        kp, km, _ = problem.spec.inertia_j
+        result = extract_eigenpairs(problem.pencil_m, problem.spec, record.x, kp, km)
         summary["eig_rel_err"] = result.rel_err
-    if "prescribed" in extras:
-        summary["diff"] = float(np.linalg.norm(record.x - extras["prescribed"]))
+    if prescribed is not None:
+        summary["diff"] = float(np.linalg.norm(record.x - prescribed))
     if problem.exact_obj is not None:
         summary["exact_obj"] = problem.exact_obj
     return record, problem, summary
@@ -382,18 +352,18 @@ def cmd_batch(args: argparse.Namespace) -> int:
 
 
 # the small trace-minimization instance that ``verify`` solves end to end
-VERIFY_CONFIG = ExperimentConfig(n=30, p=20, m=10, k=3, kp=2, km=1)
+VERIFY_CONFIG = ExperimentConfig(n=30, p=20, k=3, kp=2)
 
 
 def _verify_checks():
     """Yield (name, passed, detail) for each check of the smoke test."""
-    problem, x0, extras = build_problem(VERIFY_CONFIG)
+    problem, x0, _ = build_problem(VERIFY_CONFIG)
     feas0 = feasibility(problem.spec, x0)
     yield ("starting point feasible", feas0 <= 1e-10, f"feas={feas0:.2e}")
 
     record = solve(problem, x0)
-    m_mat, kp, km = extras["pencil"]
-    _, _, f_star = pencil_oracle(m_mat, problem.spec.A, kp, km)
+    kp, km, _ = problem.spec.inertia_j
+    _, _, f_star = pencil_oracle(problem.pencil_m, problem.spec.A, kp, km)
     rel = abs(problem.f(record.x) - f_star) / abs(f_star)
     yield (
         "solver matches the dense pencil oracle",
@@ -414,8 +384,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a ConfigError (exit code 1), not argparse's
+    exit code 2, which means an exhausted iteration budget here."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="indefstiefel",
         description="Benchmark runner for gradient descent on indefinite Stiefel manifolds.",
     )
@@ -423,23 +401,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(sp: argparse.ArgumentParser) -> None:
         sp.add_argument("--config", help="key = value config file; flags override it")
-        sp.add_argument("--problem", choices=PROBLEM_KINDS)
-        sp.add_argument("--n", type=int)
-        sp.add_argument("--p", type=int)
-        sp.add_argument("--m", type=int)
-        sp.add_argument("--k", type=int)
-        sp.add_argument("--kp", type=int)
-        sp.add_argument("--km", type=int)
-        sp.add_argument("--l", type=int)
-        sp.add_argument("--matrix")
-        sp.add_argument("--matrix-param", dest="matrix_param", type=float)
-        sp.add_argument("--metric", choices=METRIC_KINDS)
-        sp.add_argument("--rstop", type=float)
-        sp.add_argument("--max-iter", dest="max_iter", type=int)
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--out-dir", dest="out_dir")
-        sp.add_argument("--mtx-K", dest="mtx_k")
-        sp.add_argument("--mtx-M", dest="mtx_m")
+        for field_ in dataclasses.fields(ExperimentConfig):
+            sp.add_argument(
+                "--" + field_.name.replace("_", "-"), dest=field_.name,
+                help=f"{field_.type}, default {field_.default}",
+            )
 
     run_p = sub.add_parser("run", help="solve one configured benchmark problem")
     add_common(run_p)
@@ -457,14 +423,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 

@@ -75,16 +75,9 @@ class ManifoldSpec:
 
         # the diagonal of a diagonal A, else None
         self._a_diag = np.diag(self.A) if self._is_diagonal(self.A) else None
-
-        if self._a_diag is not None:
-            self._a_eigvals = self._a_diag
-            self._a_eigvecs = None  # identity columns, materialized lazily
-        else:
-            self._a_eigvals = np.linalg.eigvalsh(self.A)
-            self._a_eigvecs = None
-
-        self.norm_a = float(np.max(np.abs(self._a_eigvals)))
-        self.inertia_a = sign_counts(self._a_eigvals)
+        a_eigvals = self._a_diag if self._a_diag is not None else np.linalg.eigvalsh(self.A)
+        self.norm_a = float(np.max(np.abs(a_eigvals)))
+        self.inertia_a = sign_counts(a_eigvals)
         if self.inertia_a.n_zero > 0:
             raise ValueError("A is singular (zero eigenvalue within tolerance)")
         self.inertia_j = inertia(self.J)
@@ -138,17 +131,6 @@ class ManifoldSpec:
             return scipy.linalg.lu_solve(self._lu, b)
         return np.asarray(b, dtype=float) / self._column(b)
 
-    def a_eigendecomposition(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenpairs of A (ascending), computing and caching vectors lazily."""
-        if self._a_eigvecs is None:
-            if self._a_diag is not None:
-                order = np.argsort(self._a_eigvals, kind="stable")
-                self._a_eigvals = self._a_eigvals[order]
-                self._a_eigvecs = np.eye(self.n)[:, order]
-            else:
-                self._a_eigvals, self._a_eigvecs = np.linalg.eigh(self.A)
-        return self._a_eigvals, self._a_eigvecs
-
 
 @dataclass
 class TangentVector:
@@ -195,9 +177,7 @@ class MetricSpec:
         m = sym(np.asarray(m, dtype=float))
         try:
             chol = scipy.linalg.cho_factor(m)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - scipy raises its own
-            raise ValueError("metric matrix is not positive definite") from exc
-        except scipy.linalg.LinAlgError as exc:
+        except np.linalg.LinAlgError as exc:
             raise ValueError("metric matrix is not positive definite") from exc
         return MetricSpec(kind="weighted", matrix=m, _chol=chol)
 
@@ -251,7 +231,13 @@ def make_point(
     negative) eigendirections in ascending-eigenvalue order; by default the
     directions of smallest magnitude eigenvalues are used.
     """
-    w, v = spec.a_eigendecomposition()
+    if spec._a_diag is None:
+        w, v = np.linalg.eigh(spec.A)
+    else:
+        # A's eigenvectors are unit vectors e_i: keep their indices i, and
+        # build only the columns picked below
+        rows = np.argsort(spec._a_diag, kind="stable")
+        w = spec._a_diag[rows]
     kp, km = spec.inertia_j.n_pos, spec.inertia_j.n_neg
     pos = np.flatnonzero(w > 0)
     neg = np.flatnonzero(w < 0)
@@ -269,7 +255,14 @@ def make_point(
     cols = np.concatenate([pos[pos_indices], neg[neg_indices]])
     if len(set(cols.tolist())) != len(cols):
         raise ValueError("duplicate eigendirection selected")
-    frame = v[:, cols] / np.sqrt(np.abs(w[cols]))
+    if spec._a_diag is None:
+        frame = v[:, cols]
+    else:
+        # the layout and +0 entries of np.eye(n)[:, rows][:, cols], so that
+        # frame @ u.T below runs the same BLAS arithmetic on any library
+        frame = np.zeros((spec.n, len(cols)), order="F")
+        frame[rows[cols], np.arange(len(cols))] = 1.0
+    frame = frame / np.sqrt(np.abs(w[cols]))
 
     # orthogonal U with U^T J U = diag(I_kp, -I_km)
     wj, uj = np.linalg.eigh(spec.J)
@@ -312,13 +305,13 @@ def metric_norm(metric: MetricSpec, x: np.ndarray, z) -> float:
     return float(np.sqrt(max(metric_inner(metric, x, z, z), 0.0)))
 
 
-def _lyap_pieces(spec: ManifoldSpec, metric: MetricSpec, x: np.ndarray):
-    """Shared quantities for projections: AX, M_X^{-1} A X, and the spd
-    Lyapunov coefficient S = X^T A M_X^{-1} A X."""
-    ax = spec.apply_a(x)
-    mi_ax = metric.apply_inverse(x, ax)
+def _project(ax: np.ndarray, mi_ax: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Y minus its normal component M_X^{-1} A X U, where U solves the
+    Lyapunov equation S U + U S = 2 sym(X^T A Y) with the spd coefficient
+    S = X^T A M_X^{-1} A X; ax = A X and mi_ax = M_X^{-1} A X."""
     s = sym(ax.T @ mi_ax)
-    return ax, mi_ax, s
+    u = solve_lyapunov(s, 2.0 * sym(ax.T @ y))
+    return y - mi_ax @ u
 
 
 def project_tangent(spec: ManifoldSpec, metric: MetricSpec, x: np.ndarray, y: np.ndarray) -> TangentVector:
@@ -327,10 +320,8 @@ def project_tangent(spec: ManifoldSpec, metric: MetricSpec, x: np.ndarray, y: np
     The normal component is M_X^{-1} A X U where U solves the Lyapunov
     equation S U + U S = 2 sym(X^T A Y).
     """
-    y = _value(y)
-    ax, mi_ax, s = _lyap_pieces(spec, metric, x)
-    u = solve_lyapunov(s, 2.0 * sym(ax.T @ y))
-    return TangentVector(base=x, value=y - mi_ax @ u)
+    ax = spec.apply_a(x)
+    return TangentVector(base=x, value=_project(ax, metric.apply_inverse(x, ax), _value(y)))
 
 
 def riemannian_gradient(spec: ManifoldSpec, metric: MetricSpec, x: np.ndarray, egrad: np.ndarray) -> TangentVector:
@@ -344,7 +335,4 @@ def riemannian_gradient(spec: ManifoldSpec, metric: MetricSpec, x: np.ndarray, e
     ax = spec.apply_a(x)
     k = ax.shape[1]
     mi = metric.apply_inverse(x, np.hstack([ax, egrad]))
-    mi_ax, w1 = mi[:, :k], mi[:, k:]
-    s = sym(ax.T @ mi_ax)
-    u = solve_lyapunov(s, 2.0 * sym(ax.T @ w1))
-    return TangentVector(base=x, value=w1 - mi_ax @ u)
+    return TangentVector(base=x, value=_project(ax, mi[:, :k], mi[:, k:]))

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .manifold import feasibility, metric_norm, riemannian_gradient
+from .manifold import feasibility, metric_inner, metric_norm, random_tangent, riemannian_gradient
 from .retraction import CayleyCurve, CayleyForm, WellDefinednessError, default_form
 
 __all__ = [
@@ -259,8 +259,6 @@ def gradient_check(
     f along the retraction against g_X(grad f, Z):
     |(f(R_X(hZ)) - f(X)) / h - g| / (1 + |g|).
     """
-    from .manifold import metric_inner, random_tangent  # local to avoid clutter
-
     if rng is None:
         rng = np.random.default_rng(0)
     spec, metric = problem.spec, problem.metric

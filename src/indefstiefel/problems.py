@@ -15,14 +15,14 @@ as a least-squares objective on iSt_{A,I}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 import scipy.linalg
 
 from .linalg import sym
-from .manifold import ManifoldSpec, MetricSpec
+from .manifold import ManifoldSpec, MetricSpec, feasibility
 
 __all__ = [
     "Problem",
@@ -42,6 +42,8 @@ __all__ = [
 class Problem:
     """Objective f with Euclidean gradient egrad on a manifold, plus metric.
 
+    ``pencil_m`` is the M of tr(X^T M X) for the trace-minimization problems,
+    whose pencil is (pencil_m, spec.A); None for the others.
     ``exact_obj``/``exact_minimizer`` carry a closed-form answer when one is
     known (consistent instances), for reporting and testing only.
     """
@@ -50,7 +52,7 @@ class Problem:
     metric: MetricSpec
     f: Callable[[np.ndarray], float]
     egrad: Callable[[np.ndarray], np.ndarray]
-    descriptor: dict = field(default_factory=dict)
+    pencil_m: np.ndarray | None = None
     exact_obj: float | None = None
     exact_minimizer: np.ndarray | None = None
 
@@ -124,10 +126,7 @@ def trace_min_problem(m: np.ndarray, a: np.ndarray, j: np.ndarray, metric: str =
     def egrad(x: np.ndarray) -> np.ndarray:
         return 2.0 * mx(x)
 
-    return Problem(
-        spec=spec, metric=met, f=f, egrad=egrad,
-        descriptor={"name": "tracemin", "n": spec.n, "k": spec.k, "metric": metric},
-    )
+    return Problem(spec=spec, metric=met, f=f, egrad=egrad, pencil_m=m)
 
 
 def extract_eigenpairs(m: np.ndarray, spec: ManifoldSpec, x_star: np.ndarray, k_p: int, k_m: int) -> PencilEigResult:
@@ -192,10 +191,7 @@ def lrevp_problem(k_mat: np.ndarray, m_mat: np.ndarray, k: int, metric: str = "h
     def egrad(x: np.ndarray) -> np.ndarray:
         return 2.0 * hx(x)
 
-    return Problem(
-        spec=spec, metric=met, f=f, egrad=egrad,
-        descriptor={"name": "lrevp", "p": p, "k": k, "metric": metric},
-    )
+    return Problem(spec=spec, metric=met, f=f, egrad=egrad, pencil_m=h)
 
 
 def lrevp_initial_guess(p: int, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -225,10 +221,7 @@ def procrustes_problem(g: np.ndarray, b: np.ndarray, j: np.ndarray, metric: str 
     def egrad(x: np.ndarray) -> np.ndarray:
         return 2.0 * (g.T @ (g @ x - b))
 
-    return Problem(
-        spec=spec, metric=met, f=f, egrad=egrad,
-        descriptor={"name": "procrustes", "l": g.shape[0], "n": g.shape[1], "metric": metric},
-    )
+    return Problem(spec=spec, metric=met, f=f, egrad=egrad)
 
 
 def matrix_equation_problem(g: np.ndarray, b: np.ndarray, a: np.ndarray, metric: str = "hessian") -> Problem:
@@ -252,10 +245,7 @@ def matrix_equation_problem(g: np.ndarray, b: np.ndarray, a: np.ndarray, metric:
     def egrad(x: np.ndarray) -> np.ndarray:
         return 2.0 * (g @ (g @ x - b))
 
-    problem = Problem(
-        spec=spec, metric=met, f=f, egrad=egrad,
-        descriptor={"name": "matexeq", "n": spec.n, "k": k, "metric": metric},
-    )
+    problem = Problem(spec=spec, metric=met, f=f, egrad=egrad)
     x_exact = consistent_solution(g, b, spec)
     if x_exact is not None:
         problem.exact_minimizer = x_exact
@@ -266,8 +256,6 @@ def matrix_equation_problem(g: np.ndarray, b: np.ndarray, a: np.ndarray, metric:
 def consistent_solution(g: np.ndarray, b: np.ndarray, spec: ManifoldSpec, tol: float = 1e-6) -> np.ndarray | None:
     """G^{-1} B when it lies on iSt_{A,I} (consistent instance), else None."""
     x = scipy.linalg.cho_solve(scipy.linalg.cho_factor(g), b)
-    from .manifold import feasibility
-
     if feasibility(spec, x) <= tol * np.linalg.norm(spec.J):
         return x
     return None

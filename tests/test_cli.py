@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from indefstiefel import (
     metric_norm,
     optimizer,
     riemannian_gradient,
+    write_mtx,
 )
 from indefstiefel.cli import (
     ExperimentConfig,
@@ -29,14 +31,14 @@ from indefstiefel.cli import (
 
 def run_args(tmp_path, *extra):
     return [
-        "run", "--problem", "tracemin", "--n", "30", "--p", "20", "--m", "10",
-        "--k", "3", "--kp", "2", "--km", "1", "--matrix", "tridiag", "--seed", "3",
+        "run", "--problem", "tracemin", "--n", "30", "--p", "20",
+        "--k", "3", "--kp", "2", "--matrix", "tridiag", "--seed", "3",
         "--out-dir", str(tmp_path), *extra,
     ]
 
 
 def small_config(tmp_path, **overrides):
-    base = dict(problem="tracemin", n=30, p=20, m=10, k=3, kp=2, km=1,
+    base = dict(problem="tracemin", n=30, p=20, k=3, kp=2,
                 matrix="tridiag", seed=3, out_dir=str(tmp_path))
     base.update(overrides)
     return ExperimentConfig(**base)
@@ -127,7 +129,7 @@ def test_run_procrustes_reports_distance_to_target(tmp_path):
 
 def test_run_matexeq_reports_exact_objective(tmp_path):
     code = main([
-        "run", "--problem", "matexeq", "--n", "24", "--p", "18", "--m", "6",
+        "run", "--problem", "matexeq", "--n", "24", "--p", "18",
         "--k", "3", "--matrix", "kms", "--matrix-param", "0.5", "--seed", "2",
         "--out-dir", str(tmp_path),
     ])
@@ -138,8 +140,6 @@ def test_run_matexeq_reports_exact_objective(tmp_path):
 
 
 def test_run_lrevp_from_matrix_market_files(tmp_path):
-    from indefstiefel import write_mtx
-
     rng = np.random.default_rng(0)
     for name in ("K", "M"):
         w = rng.standard_normal((8, 8))
@@ -147,7 +147,7 @@ def test_run_lrevp_from_matrix_market_files(tmp_path):
     out = tmp_path / "out"
     code = main([
         "run", "--problem", "lrevp", "--k", "2",
-        "--mtx-K", str(tmp_path / "K.mtx"), "--mtx-M", str(tmp_path / "M.mtx"),
+        "--mtx-k", str(tmp_path / "K.mtx"), "--mtx-m", str(tmp_path / "M.mtx"),
         "--seed", "0", "--out-dir", str(out),
     ])
     assert code == 0
@@ -159,7 +159,7 @@ def test_run_lrevp_from_matrix_market_files(tmp_path):
 
 
 def test_empty_manifold_rejected_with_named_inequality(tmp_path, capsys):
-    code = main(run_args(tmp_path, "--kp", "25", "--km", "1", "--k", "26"))
+    code = main(run_args(tmp_path, "--kp", "25", "--k", "26"))
     assert code == 1
     err = capsys.readouterr().err
     assert "kp" in err and "25" in err and "<=" in err
@@ -167,11 +167,9 @@ def test_empty_manifold_rejected_with_named_inequality(tmp_path, capsys):
 
 
 def test_unknown_problem_rejected(tmp_path, capsys):
-    # via flag: argparse rejects the choice outright
-    with pytest.raises(SystemExit):
-        main(["run", "--problem", "maxcut", "--out-dir", str(tmp_path)])
+    # flag and config file go through the same validation
+    assert main(["run", "--problem", "maxcut", "--out-dir", str(tmp_path)]) == 1
     assert "maxcut" in capsys.readouterr().err
-    # via config file: our validation reports it as a config error
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("problem = maxcut\n")
     assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
@@ -188,6 +186,35 @@ def test_nonpositive_dimension_rejected(tmp_path, capsys):
     assert "k" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--metric", "riemannian"],   # bad choice
+    ["run", "--n", "abc"],               # bad int
+    ["run", "--m", "10"],                # m = n - p is no longer an option
+    ["batch", "--km", "1"],              # nor is km = k - kp
+    [],                                  # no subcommand
+])
+def test_usage_errors_exit_1_not_2(capsys, argv):
+    # exit code 2 means "iteration budget exhausted", not a bad command line
+    assert main(argv) == 1
+    assert "config error" in capsys.readouterr().err
+
+
+def test_flags_mirror_config_keys(tmp_path):
+    # every field is a flag of the same name (hyphenated), parsed like the file
+    values = {"problem": "procrustes", "n": "12", "p": "8", "k": "4", "kp": "1",
+              "l": "15", "matrix": "kms", "matrix_param": "0.25", "metric": "euclidean",
+              "rstop": "1e-7", "max_iter": "40", "seed": "6", "out_dir": str(tmp_path),
+              "mtx_k": "K.mtx", "mtx_m": "M.mtx"}
+    assert set(values) == {f.name for f in dataclasses.fields(ExperimentConfig)}
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text("".join(f"{key} = {raw}\n" for key, raw in values.items()))
+    flags = [tok for key, raw in values.items() for tok in ("--" + key.replace("_", "-"), raw)]
+    from_flags = load_config(build_parser().parse_args(["run", *flags]))
+    from_file = load_config(build_parser().parse_args(["run", "--config", str(cfg)]))
+    assert from_flags == from_file == ExperimentConfig(**parse_config_file(cfg))
+    assert from_flags.matrix_param == 0.25 and from_flags.max_iter == 40
+
+
 # ----------------------------------------------------------------- config file
 
 
@@ -198,16 +225,14 @@ def test_config_file_parsing(tmp_path):
         "problem = tracemin\n"
         "n = 30\n"
         "p = 20\n"
-        "m = 10\n"
         "kp = 2\n"
-        "km = 1\n"
         "\n"
         "matrix = lehmer\n"
         "rstop = 1e-8\n"
     )
     config = parse_config_file(cfg)
     assert config == {
-        "problem": "tracemin", "n": 30, "p": 20, "m": 10, "kp": 2, "km": 1,
+        "problem": "tracemin", "n": 30, "p": 20, "kp": 2,
         "matrix": "lehmer", "rstop": 1e-8,
     }
     args = build_parser().parse_args(["run", "--config", str(cfg), "--k", "3"])
@@ -220,7 +245,7 @@ def test_config_file_parsing(tmp_path):
 
 def test_flags_override_config_file(tmp_path):
     cfg = tmp_path / "exp.cfg"
-    cfg.write_text("n = 30\np = 20\nm = 10\nk = 3\nkp = 2\nkm = 1\nseed = 5\n")
+    cfg.write_text("n = 30\np = 20\nk = 3\nkp = 2\nseed = 5\n")
     code = main(["run", "--config", str(cfg), "--matrix", "tridiag",
                  "--seed", "9", "--out-dir", str(tmp_path / "out")])
     assert code == 0
@@ -253,8 +278,8 @@ def test_missing_config_file_is_a_config_error(tmp_path, capsys):
 
 def test_batch_runs_seed_sweep(tmp_path):
     code = main([
-        "batch", "--problem", "tracemin", "--n", "30", "--p", "20", "--m", "10", "--k", "3",
-        "--kp", "2", "--km", "1", "--matrix", "tridiag", "--seed", "3",
+        "batch", "--problem", "tracemin", "--n", "30", "--p", "20", "--k", "3",
+        "--kp", "2", "--matrix", "tridiag", "--seed", "3",
         "--n-seeds", "3", "--out-dir", str(tmp_path),
     ])
     assert code == 0
@@ -270,8 +295,8 @@ def test_batch_runs_seed_sweep(tmp_path):
 
 def test_batch_worst_exit_code_wins(tmp_path):
     code = main([
-        "batch", "--problem", "tracemin", "--n", "30", "--p", "20", "--m", "10", "--k", "3",
-        "--kp", "2", "--km", "1", "--matrix", "tridiag", "--seed", "3",
+        "batch", "--problem", "tracemin", "--n", "30", "--p", "20", "--k", "3",
+        "--kp", "2", "--matrix", "tridiag", "--seed", "3",
         "--n-seeds", "2", "--max-iter", "2", "--out-dir", str(tmp_path),
     ])
     assert code == 2

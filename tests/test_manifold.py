@@ -144,6 +144,44 @@ def test_make_point_default_selects_smallest_magnitude():
     assert set(np.flatnonzero(span.any(axis=1))) == {1, 3}
 
 
+def _make_point_reference(spec, pos_indices=None, neg_indices=None):
+    """make_point built from all n eigenvectors of A: for a diagonal A the
+    columns of np.eye(n) in ascending-eigenvalue order."""
+    d = np.diag(spec.A)
+    if np.count_nonzero(spec.A) == np.count_nonzero(d):
+        order = np.argsort(d, kind="stable")
+        w, v = d[order], np.eye(spec.n)[:, order]
+    else:
+        w, v = np.linalg.eigh(spec.A)
+    kp, km = spec.inertia_j.n_pos, spec.inertia_j.n_neg
+    pos, neg = np.flatnonzero(w > 0), np.flatnonzero(w < 0)
+    if pos_indices is None:
+        pos_indices = np.argsort(w[pos])[:kp]
+    if neg_indices is None:
+        neg_indices = np.argsort(-w[neg])[:km]
+    cols = np.concatenate([pos[np.asarray(pos_indices)], neg[np.asarray(neg_indices)]])
+    frame = v[:, cols] / np.sqrt(np.abs(w[cols]))
+    wj, uj = np.linalg.eigh(spec.J)
+    return frame @ uj[:, np.argsort(-wj)].T
+
+
+@pytest.mark.parametrize("diagonal", [True, False])
+@pytest.mark.parametrize("rotated_j", [False, True])
+@pytest.mark.parametrize("indices", [(None, None), ([3, 0], [1])])
+def test_make_point_bitwise_equals_full_eigenvector_frame(diagonal, rotated_j, indices):
+    # the solver's iterates depend on the start's last bits and signs of zero
+    rng = np.random.default_rng(5)
+    spec = random_spec(rng, 12, 7, 2, 1, diagonal=diagonal)
+    if rotated_j:
+        q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        spec = ManifoldSpec(spec.A, q @ signature(2, 1) @ q.T)
+    x = make_point(spec, *indices)
+    ref = _make_point_reference(spec, *indices)
+    assert (x.flags.c_contiguous, x.flags.f_contiguous) == (
+        ref.flags.c_contiguous, ref.flags.f_contiguous)
+    assert np.array_equal(_bits(x), _bits(ref))
+
+
 def test_make_point_explicit_indices():
     a = np.diag([1.0, 2.0, 3.0, -1.0, -2.0])
     spec = ManifoldSpec(a, signature(2, 1))

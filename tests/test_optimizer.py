@@ -43,7 +43,6 @@ def hyperbola_problem():
         metric=MetricSpec.weighted(m),
         f=lambda x: float(np.vdot(x, m @ x)),
         egrad=lambda x: 2.0 * (m @ x),
-        descriptor={"name": "hyperbola"},
     )
 
 
@@ -191,7 +190,7 @@ def test_non_finite_objective_rejected():
     problem, x0, _, _ = small_pencil_problem(seed=10)
     bad = Problem(
         spec=problem.spec, metric=problem.metric,
-        f=lambda x: float("nan"), egrad=problem.egrad, descriptor={},
+        f=lambda x: float("nan"), egrad=problem.egrad,
     )
     with pytest.raises(ValueError, match="not finite"):
         solve(bad, x0)
@@ -298,7 +297,7 @@ def test_gradient_check_flags_wrong_gradient():
     problem, x0, _, _ = small_pencil_problem(seed=17)
     wrong = Problem(
         spec=problem.spec, metric=problem.metric,
-        f=problem.f, egrad=lambda x: 3.1 * problem.egrad(x), descriptor={},
+        f=problem.f, egrad=lambda x: 3.1 * problem.egrad(x),
     )
     err = gradient_check(wrong, x0, 1e-6, n_dirs=10, rng=np.random.default_rng(2))
     assert err > 1e-2

@@ -82,7 +82,7 @@ def test_trace_min_problem_cost_and_gradient():
     x = make_point(problem.spec)
     assert problem.f(x) == pytest.approx(np.trace(x.T @ m @ x), rel=1e-12)
     assert np.allclose(problem.egrad(x), 2 * m @ x)
-    assert problem.descriptor["name"] == "tracemin"
+    assert np.array_equal(problem.pencil_m, m)
 
 
 def test_trace_min_reuses_m_x_between_f_and_egrad(monkeypatch):
@@ -186,6 +186,7 @@ def test_lrevp_diagonal_case_matches_structured_oracle():
     h[:2, :2], h[2:, 2:] = k_mat, m_mat
     g = np.zeros((4, 4))
     g[:2, 2:] = g[2:, :2] = np.eye(2)
+    assert np.array_equal(problem.pencil_m, h)
     _, _, f_star = pencil_oracle(h, g, 1, 0)
     assert record.obj == pytest.approx(f_star, rel=1e-12)
 
