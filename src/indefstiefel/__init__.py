@@ -4,9 +4,9 @@ indefinite) and J a symmetric involution.
 
 Library layout: ``linalg`` (dense symmetric kernels and test matrices),
 ``manifold`` (geometry under tractable metrics), ``retraction`` (Cayley
-transform through an n x n or an exact 2k x 2k solve), ``optimizer`` (BB +
-nonmonotone gradient descent), ``problems`` (benchmark objectives and a
-dense pencil oracle), ``cli`` (experiment runner).
+transform through a 2k x 2k or an n x n solve, picked by shape),
+``optimizer`` (BB + nonmonotone gradient descent), ``problems`` (benchmark
+objectives and a dense pencil oracle), ``cli`` (experiment runner).
 """
 
 from .linalg import (
@@ -61,10 +61,8 @@ from .problems import (
 )
 from .retraction import (
     CayleyCurve,
-    CayleyForm,
     WellDefinednessError,
     cayley_radius_bound,
-    default_form,
     definedness_radius,
     retract,
     retraction_axioms_check,

@@ -253,9 +253,8 @@ def build_problem(config: ExperimentConfig) -> tuple[Problem, np.ndarray, np.nda
     g = test_matrix(config.matrix, n, config.matrix_param)
     spec = ManifoldSpec(a, np.eye(k))
     x_star = make_point(spec, pos_indices=np.arange(k))
-    b = g @ x_star
-    problem = matrix_equation_problem(g, b, a, metric=config.metric)
-    return problem, make_point(problem.spec, pos_indices=np.arange(p - k, p)), x_star
+    problem = matrix_equation_problem(g, g @ x_star, spec, metric=config.metric)
+    return problem, make_point(spec, pos_indices=np.arange(p - k, p)), x_star
 
 
 def _random_spd(p: int, rng: np.random.Generator) -> np.ndarray:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .manifold import feasibility, metric_inner, metric_norm, random_tangent, riemannian_gradient
-from .retraction import CayleyCurve, CayleyForm, WellDefinednessError, default_form
+from .retraction import CayleyCurve, WellDefinednessError
 
 __all__ = [
     "SolverConfig",
@@ -54,7 +54,6 @@ class SolverConfig:
     rstop: float = 1e-9         # relative gradient-norm stopping factor
     max_iter: int = 20000
     max_backtracks: int = 60
-    form: CayleyForm | str | None = None  # None = size-based default
 
 
 @dataclass
@@ -152,7 +151,7 @@ def nonmonotone_search(problem, state: SolverState, config: SolverConfig):
     counts as a failed condition (no f evaluation).  Raises LineSearchStalled
     after max_backtracks rejections.
     """
-    curve = CayleyCurve(problem.spec, state.x, state.z, config.form)
+    curve = CayleyCurve(problem.spec, state.x, state.z)
     dir_deriv = -state.gradnorm**2  # g_X(grad f, Z) with Z = -grad f
     for ell in range(config.max_backtracks + 1):
         tau = state.gamma * config.delta**ell
@@ -262,8 +261,8 @@ def gradient_check(
     if rng is None:
         rng = np.random.default_rng(0)
     spec, metric = problem.spec, problem.metric
+    f_x = problem.f(x)  # before egrad, which then reuses f's product
     grad = riemannian_gradient(spec, metric, x, problem.egrad(x))
-    f_x = problem.f(x)
     worst = 0.0
     for _ in range(n_dirs):
         z = random_tangent(spec, x, rng).value
@@ -272,7 +271,7 @@ def gradient_check(
             continue
         z = z / nz
         g = metric_inner(metric, x, grad, z)
-        f_h = problem.f(CayleyCurve(spec, x, z, CayleyForm.FULL).at(h))
+        f_h = problem.f(CayleyCurve(spec, x, z).at(h))
         err = abs((f_h - f_x) / h - g) / (1.0 + abs(g))
         worst = max(worst, err)
     return worst

@@ -74,13 +74,14 @@ class PencilEigResult:
 
 
 class _LastProduct:
-    """x -> m @ x, remembering the product for the last argument.
+    """x -> m @ x, handing the product at f's point on to egrad.
 
     The solver evaluates f at the accepted trial point and then egrad at the
-    same point; both need M X, so the second call reuses the first product.
-    The argument is remembered by value (a copy compared with
-    np.array_equal, O(nk) against the O(n^2 k) product), so an in-place edit
-    of x never returns a stale product.
+    same point; both need M X (G X for least squares).  f's call remembers
+    the product; egrad's :meth:`take` reuses it and forgets it, so no n x n
+    copy (procrustes) stays alive between solves.  The argument is remembered
+    by value (a copy compared with np.array_equal, O(nk) against the
+    O(n^2 k) product), so an in-place edit of x never gives a stale product.
     """
 
     def __init__(self, m: np.ndarray):
@@ -96,6 +97,11 @@ class _LastProduct:
             self._mx = self._product(x)
             self._x = np.array(x, dtype=float)
         return self._mx
+
+    def take(self, x: np.ndarray) -> np.ndarray:
+        mx = self(x)
+        self._x = self._mx = None
+        return mx
 
 
 def _metric_for(choice: str, m: np.ndarray) -> MetricSpec:
@@ -124,7 +130,7 @@ def trace_min_problem(m: np.ndarray, a: np.ndarray, j: np.ndarray, metric: str =
         return float(np.vdot(x, mx(x)))
 
     def egrad(x: np.ndarray) -> np.ndarray:
-        return 2.0 * mx(x)
+        return 2.0 * mx.take(x)
 
     return Problem(spec=spec, metric=met, f=f, egrad=egrad, pencil_m=m)
 
@@ -189,7 +195,7 @@ def lrevp_problem(k_mat: np.ndarray, m_mat: np.ndarray, k: int, metric: str = "h
         return float(np.vdot(x, hx(x)))
 
     def egrad(x: np.ndarray) -> np.ndarray:
-        return 2.0 * hx(x)
+        return 2.0 * hx.take(x)
 
     return Problem(spec=spec, metric=met, f=f, egrad=egrad, pencil_m=h)
 
@@ -213,37 +219,38 @@ def procrustes_problem(g: np.ndarray, b: np.ndarray, j: np.ndarray, metric: str 
     spec = ManifoldSpec(j, j)
     gtg = sym(g.T @ g)
     met = _metric_for(metric, gtg)
+    gx = _LastProduct(g)
 
     def f(x: np.ndarray) -> float:
-        r = g @ x - b
+        r = gx(x) - b
         return float(np.vdot(r, r))
 
     def egrad(x: np.ndarray) -> np.ndarray:
-        return 2.0 * (g.T @ (g @ x - b))
+        return 2.0 * (g.T @ (gx.take(x) - b))
 
     return Problem(spec=spec, metric=met, f=f, egrad=egrad)
 
 
-def matrix_equation_problem(g: np.ndarray, b: np.ndarray, a: np.ndarray, metric: str = "hessian") -> Problem:
-    """Solve G X = B on iSt_{A,I_k} as min ||G X - B||_F^2.
-
-    G symmetric positive definite; metric "hessian" takes M_X = G^2.  When
-    G^{-1} B is itself feasible the equation is consistent and that point is
-    the unique global minimizer (objective zero); it is then recorded on the
-    returned problem.
+def matrix_equation_problem(g: np.ndarray, b: np.ndarray, spec: ManifoldSpec, metric: str = "hessian") -> Problem:
+    """Solve G X = B as min ||G X - B||_F^2 on the caller's manifold ``spec``
+    (iSt_{A,I_k} in the experiments).  G symmetric positive definite; metric
+    "hessian" takes M_X = G^2.  When G^{-1} B is itself feasible the equation
+    is consistent and that point is the unique global minimizer (objective
+    zero); it is then recorded on the returned problem.
     """
     g = sym(np.asarray(g, dtype=float))
     b = np.asarray(b, dtype=float)
-    k = b.shape[1]
-    spec = ManifoldSpec(a, np.eye(k))
+    if b.shape != (spec.n, spec.k):
+        raise ValueError(f"B is {b.shape}, the manifold's points are {(spec.n, spec.k)}")
     met = _metric_for(metric, sym(g @ g))
+    gx = _LastProduct(g)
 
     def f(x: np.ndarray) -> float:
-        r = g @ x - b
+        r = gx(x) - b
         return float(np.vdot(r, r))
 
     def egrad(x: np.ndarray) -> np.ndarray:
-        return 2.0 * (g @ (g @ x - b))
+        return 2.0 * (g @ (gx.take(x) - b))
 
     problem = Problem(spec=spec, metric=met, f=f, egrad=egrad)
     x_exact = consistent_solution(g, b, spec)

@@ -7,34 +7,32 @@ satisfies S_{X,Z} A X = Z, and
             = (I - (t/2) S_{X,Z} A)^{-1} (I + (t/2) S_{X,Z} A) X
 is a retraction wherever the resolvent exists.  The transform is a
 congruence: it keeps X^T A X whatever that matrix is, so roundoff drift in
-feasibility only adds up along a run.  The "full" form solves the n x n
-resolvent above.  The compact "econ" form writes S_{X,Z} = U C U^T with
+feasibility only adds up along a run.  It is evaluated by one of two kernels,
+picked from the shape (n, k) alone.  The dense kernel solves the n x n
+resolvent above.  The Woodbury kernel writes S_{X,Z} = U C U^T with
 U = [X J, Z] and C = [[skew(Z^T A X), -I], [I, 0]], and applies the
 Sherman-Morrison-Woodbury identity (as in Wen & Yin, Math. Prog. 2013):
     R_X(t Z) = X + t U (I_2k - (t/2) C U^T A U)^{-1} C U^T A X,
-one 2k x 2k solve per step size.  This is the same map as the full form at
-any base point, feasible or not.
+one 2k x 2k solve per step size.  Both compute the same map at any base
+point, feasible or not.
 
 Unlike the orthogonal-A case, the map is not globally defined: the curve can
-leave through a singularity of the resolvent in finite t.  Both forms raise
-WellDefinednessError when their linear system is singular to working
+leave through a singularity of the resolvent in finite t.  Either kernel
+raises WellDefinednessError when its linear system is singular to working
 precision; callers treat that as "shrink the step", not as a crash.  By
 Sylvester's determinant identity det(I_n - (t/2) S A) =
-det(I_2k - (t/2) C U^T A U), so the compact system is singular exactly when
+det(I_2k - (t/2) C U^T A U), so the 2k x 2k system is singular exactly when
 the n x n one is.
 """
 
 from __future__ import annotations
 
-import enum
-
 import numpy as np
 
 from .linalg import checked_solve, skew
-from .manifold import ManifoldSpec, TangentVector, _value
+from .manifold import ManifoldSpec, _value
 
 __all__ = [
-    "CayleyForm",
     "WellDefinednessError",
     "CayleyCurve",
     "s_matrix",
@@ -44,7 +42,6 @@ __all__ = [
     "retraction_axioms_check",
     "spectrum_is_imaginary",
     "second_order_defect",
-    "default_form",
 ]
 
 RCOND_FLOOR = 1e-14
@@ -55,14 +52,12 @@ class WellDefinednessError(RuntimeError):
     undefined there.  Normal control flow for line searches."""
 
 
-class CayleyForm(str, enum.Enum):
-    FULL = "full"
-    ECON = "econ"
-
-
-def default_form(n: int, k: int) -> CayleyForm:
-    """Econ pays off once k is small against n; full is the robust fallback."""
-    return CayleyForm.ECON if 4 * k <= n else CayleyForm.FULL
+def _woodbury(n: int, k: int) -> bool:
+    """Whether the 2k x 2k Woodbury kernel is the cheaper one at width k: with
+    one BLAS thread, a curve's build plus 1.2 evaluations costs the same on
+    both kernels near k = n/2.9 (n = 50) to n/2.2 (n = 1000); at k = n the
+    dense n x n kernel is about 3x cheaper."""
+    return 3 * k <= n
 
 
 def s_matrix(spec: ManifoldSpec, x: np.ndarray, z) -> np.ndarray:
@@ -84,40 +79,37 @@ class CayleyCurve:
     """The curve t -> R_X(t Z) for fixed (X, Z), reusable across step sizes.
 
     Construction does the one-time O(n^2 k) work; ``at(t)`` then costs one
-    linear solve of the form's size: n for "full", 2k for "econ", which
-    evaluates the same exact transform through the Woodbury identity.
+    linear solve: 2k x 2k through the Woodbury identity when k is small
+    against n, else the n x n resolvent.
     """
 
-    def __init__(self, spec: ManifoldSpec, x: np.ndarray, z, form: CayleyForm | str | None = None):
-        self.spec = spec
+    def __init__(self, spec: ManifoldSpec, x: np.ndarray, z):
         self.x = np.asarray(x, dtype=float)
-        self.z = _value(z)
-        if form is None:
-            form = default_form(spec.n, spec.k)
-        self.form = CayleyForm(form)
+        z = _value(z)
         # the k x k core of S_{X,Z} is re-skewed as in s_matrix
         ax = spec.apply_a(self.x)
-        az = spec.apply_a(self.z)
+        az = spec.apply_a(z)
         core = skew(az.T @ self.x)
-        if self.form is CayleyForm.FULL:
-            # assemble S_{X,Z} A from rank-k pieces (never an n^3 product)
-            xj = self.x @ spec.J
-            jxta = spec.J @ ax.T
-            self._sa = xj @ (core @ jxta) - xj @ az.T + self.z @ jxta
-        else:
+        self._sa = None
+        if _woodbury(spec.n, spec.k):
             # S_{X,Z} = U C U^T; keep C U^T A U and C U^T A X for the 2k solve
             k = self.x.shape[1]
             eye = np.eye(k)
-            self._u = np.hstack([self.x @ spec.J, self.z])
+            self._u = np.hstack([self.x @ spec.J, z])
             c = np.block([[core, -eye], [eye, np.zeros((k, k))]])
             self._cg = c @ (self._u.T @ np.hstack([ax @ spec.J, az]))
             self._cv = c @ (self._u.T @ ax)
+        else:
+            # assemble S_{X,Z} A from rank-k pieces (never an n^3 product)
+            xj = self.x @ spec.J
+            jxta = spec.J @ ax.T
+            self._sa = xj @ (core @ jxta) - xj @ az.T + z @ jxta
 
     def at(self, t: float) -> np.ndarray:
         """Evaluate the curve; raises WellDefinednessError at singular t."""
         t = float(t)
         try:
-            if self.form is CayleyForm.FULL:
+            if self._sa is not None:
                 b = np.eye(self.x.shape[0]) - (0.5 * t) * self._sa
                 rhs = self.x + (0.5 * t) * (self._sa @ self.x)
                 out, _ = checked_solve(b, rhs, RCOND_FLOOR)
@@ -127,13 +119,13 @@ class CayleyCurve:
             return self.x + t * (self._u @ w)
         except np.linalg.LinAlgError as exc:
             raise WellDefinednessError(
-                f"Cayley retraction undefined at t={t:.6g} ({self.form.value} form): {exc}"
+                f"Cayley retraction undefined at t={t:.6g}: {exc}"
             ) from exc
 
 
-def retract(spec: ManifoldSpec, x: np.ndarray, z, t: float, form: CayleyForm | str | None = None) -> np.ndarray:
+def retract(spec: ManifoldSpec, x: np.ndarray, z, t: float) -> np.ndarray:
     """One-shot R_X(t Z); see CayleyCurve for amortized repeated evaluation."""
-    return CayleyCurve(spec, x, z, form).at(t)
+    return CayleyCurve(spec, x, z).at(t)
 
 
 def cayley_radius_bound(norm_x: float, norm_j: float, norm_a: float) -> float:
@@ -152,15 +144,13 @@ def definedness_radius(spec: ManifoldSpec, x: np.ndarray) -> float:
     return cayley_radius_bound(norm_x, norm_j, spec.norm_a)
 
 
-def retraction_axioms_check(
-    spec: ManifoldSpec, x: np.ndarray, z, h: float, form: CayleyForm | str | None = None
-) -> tuple[float, float]:
+def retraction_axioms_check(spec: ManifoldSpec, x: np.ndarray, z, h: float) -> tuple[float, float]:
     """Residuals of the two retraction axioms at step h.
 
     r1 = ||R_X(0) - X||_F  (should be at solve roundoff), and
     r2 = ||(R_X(hZ) - X)/h - Z||_F  (O(h) as h -> 0).
     """
-    curve = CayleyCurve(spec, x, z, form)
+    curve = CayleyCurve(spec, x, z)
     z = _value(z)
     r1 = float(np.linalg.norm(curve.at(0.0) - x))
     r2 = float(np.linalg.norm((curve.at(h) - x) / h - z))

@@ -3,8 +3,20 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
-from indefstiefel import ManifoldSpec, make_point, random_tangent, retract, signature
+from indefstiefel import (
+    CayleyCurve,
+    ManifoldSpec,
+    WellDefinednessError,
+    checked_solve,
+    make_point,
+    random_tangent,
+    retract,
+    signature,
+    skew,
+)
+from indefstiefel import retraction
 
 
 def random_spd(rng: np.random.Generator, n: int, lo: float = 0.5, hi: float = 5.0) -> np.ndarray:
@@ -48,5 +60,47 @@ def perturbed_point(
     z = random_tangent(spec, x, rng).value
     norm = np.linalg.norm(z)
     if norm > 0:
-        x = retract(spec, x, (scale / norm) * z, 1.0, form="full")
+        x = retract(spec, x, (scale / norm) * z, 1.0)
     return x
+
+
+class DenseCayleyCurve:
+    """Test oracle: the Cayley curve t -> R_X(t Z) through the n x n resolvent,
+
+        R_X(t Z) = (I - (t/2) S_{X,Z} A)^{-1} (I + (t/2) S_{X,Z} A) X,
+
+    with S_{X,Z} A assembled from rank-k pieces.  It has the interface of
+    CayleyCurve, so it can stand in for the library's curve in ``solve``.
+    """
+
+    def __init__(self, spec: ManifoldSpec, x: np.ndarray, z):
+        self.x = np.asarray(x, dtype=float)
+        z = np.asarray(getattr(z, "value", z), dtype=float)
+        ax = spec.apply_a(self.x)
+        az = spec.apply_a(z)
+        core = skew(az.T @ self.x)
+        xj = self.x @ spec.J
+        jxta = spec.J @ ax.T
+        self._sa = xj @ (core @ jxta) - xj @ az.T + z @ jxta
+
+    def at(self, t: float) -> np.ndarray:
+        t = float(t)
+        b = np.eye(self.x.shape[0]) - (0.5 * t) * self._sa
+        rhs = self.x + (0.5 * t) * (self._sa @ self.x)
+        try:
+            return checked_solve(b, rhs, retraction.RCOND_FLOOR)[0]
+        except np.linalg.LinAlgError as exc:
+            raise WellDefinednessError(f"oracle Cayley system singular at t={t:.6g}") from exc
+
+
+def woodbury_curve(spec: ManifoldSpec, x: np.ndarray, z) -> CayleyCurve:
+    """The library's curve on its 2k x 2k Woodbury kernel, at any shape: the
+    private width rule is patched while the curve is built."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(retraction, "_woodbury", lambda n, k: True)
+        return CayleyCurve(spec, x, z)
+
+
+# the two Cayley kernels compared by the cross-kernel tests: the dense
+# oracle ("full") and the library's Woodbury kernel ("econ")
+CURVES = {"full": DenseCayleyCurve, "econ": woodbury_curve}

@@ -15,6 +15,7 @@ import pytest
 import scipy.linalg
 
 from indefstiefel import (
+    CayleyCurve,
     ManifoldSpec,
     MetricSpec,
     SolverConfig,
@@ -33,7 +34,6 @@ from indefstiefel import (
     random_rotation,
     random_tangent,
     retract,
-    retraction_axioms_check,
     riemannian_gradient,
     s_matrix,
     second_order_defect,
@@ -44,9 +44,17 @@ from indefstiefel import (
     tangency_residual,
     trace_min_problem,
 )
+from indefstiefel import optimizer
 from indefstiefel import test_matrix as gallery
 
-from conftest import perturbed_point, random_spd, random_spec
+from conftest import (
+    CURVES,
+    DenseCayleyCurve,
+    perturbed_point,
+    random_spd,
+    random_spec,
+    woodbury_curve,
+)
 from test_retraction import defect_instance, hyperbola
 
 
@@ -74,9 +82,7 @@ def test_lehmer_pencil_benchmark_two_splits():
     a = np.diag(np.concatenate([np.arange(1.0, p + 1.0), -np.arange(float(m), 0.0, -1.0)]))
     for kp, km, obj_ref, iter_cap in ((3, 2, 2.244e-4, 300), (15, 5, 9.084e-4, 400)):
         problem = trace_min_problem(m_mat, a, signature(kp, km), metric="hessian")
-        record = solve(
-            problem, make_point(problem.spec), SolverConfig(rstop=1e-9, form="full")
-        )
+        record = solve(problem, make_point(problem.spec), SolverConfig(rstop=1e-9))
         result = extract_eigenpairs(m_mat, problem.spec, record.x, kp, km)
         assert record.status == "converged"
         assert abs(record.obj - obj_ref) <= 5e-8
@@ -168,7 +174,7 @@ def test_random_pencils_match_dense_oracle():
         m_mat = random_spd(rng, n)
         problem = trace_min_problem(m_mat, spec.A, spec.J, metric="hessian")
         x0 = perturbed_point(problem.spec, rng, scale=0.5)
-        record = solve(problem, x0, SolverConfig(rstop=1e-9, form="full"))
+        record = solve(problem, x0, SolverConfig(rstop=1e-9))
         lam_plus, lam_minus, f_star = pencil_oracle(m_mat, spec.A, kp, km)
         assert record.status == "converged"
         rel = abs(record.obj - f_star) / abs(f_star)
@@ -192,13 +198,14 @@ def test_random_pencils_match_dense_oracle():
 def test_retraction_property_suite():
     rng = np.random.default_rng(11)
 
-    # R(0) = X to 1e-13: both forms and the width-based default
+    # R(0) = X to 1e-13: the dense oracle, the library's width-based choice
+    # and its Woodbury kernel
     worst_r1 = 0.0
-    for form in ("full", None, "econ"):
+    for curve in (DenseCayleyCurve, CayleyCurve, woodbury_curve):
         spec = random_spec(rng, 14, 9, 2, 2)
         x = make_point(spec)
         z = random_tangent(spec, x, rng)
-        r1, _ = retraction_axioms_check(spec, x, z, 1e-3, form=form)
+        r1 = float(np.linalg.norm(curve(spec, x, z).at(0.0) - x))
         assert r1 <= 1e-13
         worst_r1 = max(worst_r1, r1)
 
@@ -216,7 +223,7 @@ def test_retraction_property_suite():
     assert errs[0] / errs[1] >= 30.0
     assert errs[1] / errs[2] >= 30.0
 
-    # 1000 random draws: feasibility preserved and the two forms agree
+    # 1000 random draws: feasibility preserved and the two kernels agree
     worst_feas, worst_gap = 0.0, 0.0
     for trial in range(1000):
         n = int(rng.integers(4, 21))
@@ -230,14 +237,14 @@ def test_retraction_property_suite():
         z = random_tangent(spec, x, rng)
         t = float(rng.uniform(0.05, 1.0))
         results = {}
-        for form in ("full", "econ"):
+        for form, curve in CURVES.items():
             try:
-                results[form] = retract(spec, x, z, t, form=form)
+                results[form] = curve(spec, x, z).at(t)
             except WellDefinednessError:
                 results = None
                 break
         if results is None:
-            continue  # draw beyond the definedness radius: all forms refused
+            continue  # draw beyond the definedness radius: both kernels refused
         for y in results.values():
             worst_feas = max(worst_feas, feasibility(spec, y))
         base = results["full"]
@@ -251,9 +258,9 @@ def test_retraction_property_suite():
     spec2, x2, z2 = hyperbola()
     sa = s_matrix(spec2, x2, z2) @ spec2.A
     assert np.array_equal(sa, np.array([[0.0, 1.0], [1.0, 0.0]]))
-    for form in ("full", "econ"):
+    for curve in CURVES.values():
         with pytest.raises(WellDefinednessError):
-            retract(spec2, x2, z2, 2.0, form=form)
+            curve(spec2, x2, z2).at(2.0)
 
     # frozen 3x3 instance: the curve's second-order defect in closed form
     spec3, x3, z3 = defect_instance()
@@ -355,9 +362,9 @@ def test_matrix_equation_recovery_replica():
         g = gallery(name, n, param)
         spec = ManifoldSpec(a, np.eye(k))
         x_star = make_point(spec, pos_indices=np.arange(k))
-        problem = matrix_equation_problem(g, g @ x_star, a)
+        problem = matrix_equation_problem(g, g @ x_star, spec)
         x0 = make_point(spec, pos_indices=np.arange(p - k, p))
-        record = solve(problem, x0, SolverConfig(rstop=1e-9, form="full"))
+        record = solve(problem, x0, SolverConfig(rstop=1e-9))
         diff = float(np.linalg.norm(record.x - problem.exact_minimizer))
         assert record.status == "converged", name
         assert record.obj <= 1e-10
@@ -383,7 +390,7 @@ def test_procrustes_consistent_recovery_over_seeds():
         g = rng.standard_normal((l, n))
         v = block_diag_orthogonal(p, m, rng)
         problem = procrustes_problem(g, g @ v, j)
-        record = solve(problem, np.eye(n), SolverConfig(rstop=1e-6, form="full"))
+        record = solve(problem, np.eye(n), SolverConfig(rstop=1e-6))
         assert record.status == "converged", seed
         assert record.obj <= 1e-7
         assert record.feas <= 1e-10
@@ -423,15 +430,18 @@ def test_lrevp_pipeline_smoke():
     )
 
 
-def test_econ_form_not_slower_than_full_at_scale():
+def test_econ_form_not_slower_than_full_at_scale(monkeypatch):
+    # the library's kernel at (n, k) = (1000, 10) against the dense oracle
     n = 1000
     m_mat = gallery("tridiag", n)
     a = np.diag(np.concatenate([np.arange(1.0, 501.0), -np.arange(1.0, 501.0)]))
     problem = trace_min_problem(m_mat, a, signature(5, 5), metric="hessian")
     x0 = make_point(problem.spec)
-    config = dict(rstop=0.0, max_iter=15)
-    full = solve(problem, x0, SolverConfig(form="full", **config))
-    econ = solve(problem, x0, SolverConfig(form="econ", **config))
+    config = SolverConfig(rstop=0.0, max_iter=15)
+    with monkeypatch.context() as mp:
+        mp.setattr(optimizer, "CayleyCurve", DenseCayleyCurve)
+        full = solve(problem, x0, config)
+    econ = solve(problem, x0, config)
     assert full.n_iter == econ.n_iter == 15
     assert econ.cpu_s <= full.cpu_s
     report(

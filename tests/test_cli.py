@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -340,3 +342,27 @@ def test_script_configs_parse_and_validate():
     assert len(paths) >= 3
     for path in paths:
         ExperimentConfig(**parse_config_file(path)).validate()
+
+
+def test_parity_script_compares_runs(tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "parity.py"
+
+    def parity(*args):
+        return subprocess.run(
+            [sys.executable, str(script), *map(str, args)], capture_output=True, text=True, timeout=300
+        )
+
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path in paths:
+        done = parity("--workload", "lehmer200", "--seed", "0", "--limit", "1", "--out", path)
+        assert done.returncode == 0, done.stderr
+    assert parity("--compare", paths[0], paths[0]).returncode == 0
+    assert parity("--compare", *paths).returncode == 0
+    data = json.loads(paths[1].read_text())
+    (solve,) = data["solves"]
+    assert solve["status"] == "converged" and len(solve["history"]) == solve["iters"] + 1
+    solve["history"][-1][1] = np.nextafter(solve["history"][-1][1], np.inf)
+    paths[1].write_text(json.dumps(data))
+    done = parity("--compare", *paths)
+    assert done.returncode == 1
+    assert "solve 0: history differs" in done.stdout

@@ -26,10 +26,10 @@ from indefstiefel import (
     solve,
     trace_min_problem,
 )
-from indefstiefel import optimizer
+from indefstiefel import optimizer, retraction
 from indefstiefel import test_matrix as gallery
 
-from conftest import perturbed_point, random_spd
+from conftest import CURVES, perturbed_point, random_spd
 
 
 def hyperbola_problem():
@@ -104,9 +104,11 @@ def test_diagonal_pencil_matches_oracle():
 
 
 @pytest.mark.parametrize("form", ["full", "econ"])
-def test_forms_reach_same_minimum(form):
+def test_forms_reach_same_minimum(monkeypatch, form):
+    # the solver on the dense oracle and on the library's Woodbury kernel
+    monkeypatch.setattr(optimizer, "CayleyCurve", CURVES[form])
     problem, x0, m, a = small_pencil_problem(seed=1)
-    record = solve(problem, x0, SolverConfig(form=form, max_iter=2000))
+    record = solve(problem, x0, SolverConfig(max_iter=2000))
     _, _, f_star = pencil_oracle(m, a, 1, 1)
     assert record.status == "converged"
     assert record.obj == pytest.approx(f_star, rel=1e-8)
@@ -164,7 +166,7 @@ def test_nonmonotone_condition_replay():
 
 def test_feasibility_stays_tight():
     problem, x0, _, _ = small_pencil_problem(seed=7)
-    record = solve(problem, x0, SolverConfig(form="full", max_iter=2000))
+    record = solve(problem, x0, SolverConfig(max_iter=2000))
     assert record.history()[:, 4].max() <= 1e-12
 
 
@@ -304,13 +306,13 @@ def test_gradient_check_flags_wrong_gradient():
 
 
 def test_benchmark_scale_feasibility_drift():
-    # moderately sized weighted-metric run keeps the full form near machine accuracy
+    # moderately sized weighted-metric run keeps feasibility near machine accuracy
     n, p, m = 100, 60, 40
     mat = gallery("tridiag", n)
     a = np.diag(np.concatenate([np.arange(1.0, p + 1.0), -np.arange(1.0, m + 1.0)]))
     problem = trace_min_problem(mat, a, signature(2, 2), metric="hessian")
     x0 = make_point(problem.spec)
-    record = solve(problem, x0, SolverConfig(form="full", max_iter=3000))
+    record = solve(problem, x0, SolverConfig(max_iter=3000))
     assert record.status == "converged"
     assert record.feas <= 1e-12
 
@@ -318,13 +320,15 @@ def test_benchmark_scale_feasibility_drift():
 @pytest.mark.parametrize("form", ["full", None])
 def test_diagonal_a_operator_keeps_iterates_bitwise(monkeypatch, form):
     # the row-scaling A X of a diagonal A must drive the solver through the
-    # same iterates as the dense product A @ X it replaces; the full form's
-    # F-ordered iterates catch a result that is not C-ordered
+    # same iterates as the dense product A @ X it replaces; the dense
+    # kernel's F-ordered iterates catch a result that is not C-ordered
+    if form == "full":
+        monkeypatch.setattr(retraction, "_woodbury", lambda n, k: False)
     n, p = 100, 70
     a = np.diag(np.concatenate([np.arange(1.0, p + 1.0), -np.arange(float(n - p), 0.0, -1.0)]))
     problem = trace_min_problem(gallery("lehmer", n), a, signature(3, 2), metric="hessian")
     x0 = make_point(problem.spec)
-    config = SolverConfig(rstop=1e-9, form=form)
+    config = SolverConfig(rstop=1e-9)
     fast = solve(problem, x0, config)
     monkeypatch.setattr(ManifoldSpec, "apply_a", lambda self, x: self.A @ x)
     dense = solve(problem, x0, config)

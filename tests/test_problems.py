@@ -107,6 +107,45 @@ def test_trace_min_reuses_m_x_between_f_and_egrad(monkeypatch):
     assert len(products) == 2
 
 
+@pytest.mark.parametrize("factory", ["procrustes", "matexeq"])
+def test_least_squares_reuse_g_x_between_f_and_egrad(monkeypatch, factory):
+    products = []
+    original = problems._LastProduct._product
+
+    def counted(self, x):
+        products.append(1)
+        return original(self, x)
+
+    monkeypatch.setattr(problems._LastProduct, "_product", counted)
+    rng = np.random.default_rng(3)
+    n = 6
+    if factory == "procrustes":
+        g = rng.standard_normal((n, n))
+        b = rng.standard_normal((n, n))
+        problem = procrustes_problem(g, b, signature(4, 2))
+        x = np.eye(n)
+        g_t = g.T
+    else:
+        g = random_spd(rng, n)
+        spec = ManifoldSpec(np.diag([1.0, 2.0, 3.0, -1.0, -2.0, -3.0]), np.eye(2))
+        b = rng.standard_normal((n, 2))
+        problem = matrix_equation_problem(g, b, spec)
+        x = make_point(spec)
+        g_t = g  # G is symmetric
+    r = g @ x - b
+    assert problem.f(x) == float(np.vdot(r, r))
+    assert np.array_equal(problem.egrad(x.copy()), 2.0 * (g_t @ r))
+    assert len(products) == 1
+    # egrad forgets the product it took: none outlives the solve
+    problem.egrad(x)
+    assert len(products) == 2
+    # an in-place edit is a new point, never a stale product
+    problem.f(x)
+    x[0, 0] += 1.0
+    assert np.array_equal(problem.egrad(x), 2.0 * (g_t @ (g @ x - b)))
+    assert len(products) == 4
+
+
 def test_trace_min_hessian_metric_requires_spd():
     a = np.diag([1.0, -1.0])
     indefinite = np.diag([1.0, -2.0])
@@ -240,7 +279,7 @@ def test_procrustes_desk_replica_converges_to_consistent_fit():
     v = np.zeros((n, n))
     v[:p, :p], v[p:, p:] = v1, v2
     problem = procrustes_problem(g, g @ v, j)
-    record = solve(problem, np.eye(n), SolverConfig(rstop=1e-6, form="full", max_iter=5000))
+    record = solve(problem, np.eye(n), SolverConfig(rstop=1e-6, max_iter=5000))
     assert record.status == "converged"
     assert record.obj <= 1e-8
     assert np.linalg.norm(record.x.T @ j @ record.x - j) <= 1e-10
@@ -275,7 +314,7 @@ def test_matrix_equation_records_exact_answer():
     g = random_spd(rng, n)
     spec = ManifoldSpec(a, np.eye(k))
     x_star = make_point(spec)
-    problem = matrix_equation_problem(g, g @ x_star, a)
+    problem = matrix_equation_problem(g, g @ x_star, spec)
     assert problem.exact_obj == 0.0
     assert np.allclose(problem.exact_minimizer, x_star, atol=1e-8)
     assert problem.f(x_star) <= 1e-18
@@ -291,9 +330,9 @@ def test_matrix_equation_recovery_over_seeds():
         g = gallery("kms", n, 0.5)
         spec = ManifoldSpec(a, np.eye(k))
         x_star = make_point(spec, pos_indices=np.arange(k))
-        problem = matrix_equation_problem(g, g @ x_star, a)
+        problem = matrix_equation_problem(g, g @ x_star, spec)
         x0 = make_point(spec, pos_indices=np.arange(p - k, p))
-        record = solve(problem, x0, SolverConfig(form="full", max_iter=500))
+        record = solve(problem, x0, SolverConfig(max_iter=500))
         assert record.status == "converged"
         assert np.linalg.norm(record.x - x_star) <= 1e-6
 
@@ -305,7 +344,7 @@ def test_matrix_equation_identity_g_projects():
     a = np.diag(np.concatenate([np.arange(1.0, 6.0), -np.arange(1.0, 4.0)]))
     spec = ManifoldSpec(a, np.eye(k))
     x_star = make_point(spec)
-    problem = matrix_equation_problem(np.eye(n), x_star, a, metric="euclidean")
+    problem = matrix_equation_problem(np.eye(n), x_star, spec, metric="euclidean")
     record = solve(problem, perturbed_point(spec, rng), SolverConfig(max_iter=2000))
     assert record.status == "converged"
     assert record.obj <= 1e-15
@@ -331,7 +370,7 @@ def test_factories_pass_gradient_check(factory):
         a = np.diag(np.concatenate([np.arange(1.0, 6.0), -np.arange(1.0, 4.0)]))
         g = random_spd(rng, n)
         spec = ManifoldSpec(a, np.eye(k))
-        problem = matrix_equation_problem(g, g @ make_point(spec), a)
+        problem = matrix_equation_problem(g, g @ make_point(spec), spec)
     for _ in range(5):
         x = perturbed_point(problem.spec, rng, scale=0.4)
         assert gradient_check(problem, x, 1e-6, n_dirs=8, rng=rng) <= 1e-4

@@ -1,18 +1,21 @@
-"""Cayley retraction: exactness, well-definedness, form agreement, curvature."""
+"""Cayley retraction: exactness, well-definedness, kernel agreement, curvature."""
 
 from __future__ import annotations
+
+import dataclasses
+import inspect
 
 import numpy as np
 import pytest
 
+import indefstiefel
 from indefstiefel import (
     CayleyCurve,
-    CayleyForm,
     ManifoldSpec,
+    SolverConfig,
     WellDefinednessError,
     cayley_radius_bound,
     definedness_radius,
-    default_form,
     feasibility,
     make_point,
     random_tangent,
@@ -24,10 +27,11 @@ from indefstiefel import (
     spectrum_is_imaginary,
     tangency_residual,
 )
+from indefstiefel import retraction
 
-from conftest import random_spd, random_spec
+from conftest import CURVES, DenseCayleyCurve, random_spd, random_spec, woodbury_curve
 
-FORMS = ("full", "econ")
+FORMS = tuple(CURVES)
 
 
 def hyperbola():
@@ -92,7 +96,7 @@ def test_hyperbola_s_matrix_exact():
 @pytest.mark.parametrize("form", FORMS)
 def test_hyperbola_step_closed_form(form):
     spec, x, z = hyperbola()
-    y = retract(spec, x, z, 1.0, form=form)
+    y = CURVES[form](spec, x, z).at(1.0)
     assert np.allclose(y.ravel(), [5.0 / 3.0, 4.0 / 3.0], atol=1e-14)
     assert feasibility(spec, y) <= 1e-14
 
@@ -101,7 +105,7 @@ def test_hyperbola_step_closed_form(form):
 def test_hyperbola_breakdown_raises(form):
     spec, x, z = hyperbola()
     with pytest.raises(WellDefinednessError):
-        retract(spec, x, z, 2.0, form=form)
+        CURVES[form](spec, x, z).at(2.0)
 
 
 def test_hyperbola_definedness_radius():
@@ -124,9 +128,7 @@ def test_retraction_fixes_base(form):
     spec = random_spec(rng, 8, 5, 2, 1)
     x = make_point(spec)
     z = random_tangent(spec, x, rng).value
-    r1, _ = retraction_axioms_check(spec, x, z, 1e-5, form=form)
-    assert r1 <= 1e-13
-    assert np.allclose(retract(spec, x, z, 0.0, form=form), x, atol=1e-13)
+    assert np.linalg.norm(CURVES[form](spec, x, z).at(0.0) - x) <= 1e-13
 
 
 def test_retraction_slope_first_order_decay():
@@ -176,7 +178,7 @@ def test_feasibility_preserved_and_forms_agree():
         z = z / max(np.linalg.norm(z), 1e-300)
         t = float(rng.uniform(0.05, 1.5))
         try:
-            ys = [retract(spec, x, z, t, form=f) for f in FORMS]
+            ys = [CURVES[f](spec, x, z).at(t) for f in FORMS]
         except WellDefinednessError:
             continue
         scale = max(np.linalg.norm(spec.J), 1.0)
@@ -189,7 +191,7 @@ def test_feasibility_preserved_and_forms_agree():
 
 def test_compact_forms_exact_off_the_manifold():
     # the Cayley transform is a congruence at any base point: from an X whose
-    # X^T A X misses J by about 1e-6, every form must give the same point and
+    # X^T A X misses J by about 1e-6, both kernels must give the same point and
     # keep X^T A X itself, so roundoff drift cannot grow along a run
     rng = np.random.default_rng(11)
     worst_cross, worst_gram, evaluated = 0.0, 0.0, 0
@@ -208,7 +210,7 @@ def test_compact_forms_exact_off_the_manifold():
         assert feasibility(spec, x) >= 1e-8
         t = float(rng.uniform(0.05, 1.5))
         try:
-            ys = {f: retract(spec, x, z, t, form=f) for f in FORMS}
+            ys = {f: CURVES[f](spec, x, z).at(t) for f in FORMS}
         except WellDefinednessError:
             continue
         evaluated += 1
@@ -234,9 +236,34 @@ def test_retraction_curve_stays_feasible_along_path():
 
 
 def test_default_form_switches_on_width():
-    assert default_form(1000, 10) == CayleyForm.ECON
-    assert default_form(12, 5) == CayleyForm.FULL
-    assert default_form(40, 10) == CayleyForm.ECON
+    # lehmer200 (200, 5) and tridiag2000 (2000, 10) take the 2k x 2k kernel,
+    # procrustes200 (k = n = 200) the dense one
+    assert retraction._woodbury(1000, 10)
+    assert not retraction._woodbury(12, 5)
+    assert not retraction._woodbury(200, 200)
+    assert retraction._woodbury(200, 5)
+    assert retraction._woodbury(2000, 10)
+    # k <= n/3, below the measured crossover (k near 17 at n = 50)
+    assert retraction._woodbury(50, 16)
+    assert not retraction._woodbury(50, 17)
+    # the curve runs the kernel the rule picks, bit for bit
+    rng = np.random.default_rng(10)
+    for (n, p, kp, km), reference in (((12, 7, 3, 2), DenseCayleyCurve), ((40, 25, 3, 2), woodbury_curve)):
+        spec = random_spec(rng, n, p, kp, km)
+        x = make_point(spec)
+        z = random_tangent(spec, x, rng).value
+        assert np.array_equal(CayleyCurve(spec, x, z).at(0.4), reference(spec, x, z).at(0.4))
+
+
+def test_public_surface_has_no_kernel_choice():
+    # the width rule alone picks the kernel, so a benchmark that runs the
+    # solver with its config times the library's own choice
+    assert "form" not in {f.name for f in dataclasses.fields(SolverConfig)}
+    assert list(inspect.signature(CayleyCurve).parameters) == ["spec", "x", "z"]
+    assert list(inspect.signature(retract).parameters) == ["spec", "x", "z", "t"]
+    assert list(inspect.signature(retraction_axioms_check).parameters) == ["spec", "x", "z", "h"]
+    assert not hasattr(indefstiefel, "CayleyForm")
+    assert not hasattr(indefstiefel, "default_form")
 
 
 # ------------------------------------------------------------- definedness radius
@@ -262,7 +289,7 @@ def test_retraction_defined_inside_radius(form):
         delta = definedness_radius(spec, x)
         z = random_tangent(spec, x, rng).value
         z = z * (0.99 * delta / np.linalg.norm(z, 2))
-        y = retract(spec, x, z, 1.0, form=form)  # must not raise
+        y = CURVES[form](spec, x, z).at(1.0)  # must not raise
         assert feasibility(spec, y) <= 1e-8
 
 
