@@ -11,7 +11,8 @@ Artifacts of ``run`` (per out_dir): ``summary.json`` (terminal objective,
 gradient norm, feasibility, iteration/evaluation counts, solve wall time,
 plus eigenvalue residual or recovery distance when applicable),
 ``history.csv`` (columns ``iter,f,gradnorm,tau,feas,time_s``),
-``config.txt`` (resolved key = value echo), ``x_final.npy``.
+``config.txt`` (resolved key = value echo of the fields the problem reads),
+``x_final.npy``.
 
 Exit codes: 0 converged, 1 configuration or usage error, 2 iteration budget
 exhausted, 3 line search stalled, 4 end point infeasible.
@@ -29,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .linalg import random_rotation, read_mtx, signature, sym, test_matrix
-from .manifold import ManifoldSpec, feasibility, make_point
+from .manifold import ManifoldSpec, _points, feasibility, make_point
 from .optimizer import RunRecord, SolverConfig, solve
 from .problems import (
     Problem,
@@ -45,6 +46,13 @@ from .problems import (
 PROBLEM_KINDS = ("tracemin", "lrevp", "procrustes", "matexeq")
 METRIC_KINDS = ("euclidean", "hessian")
 MATRIX_KINDS = ("lehmer", "minij", "kms", "gcdmat", "moler", "tridiag")
+# the config fields each problem ignores, left out of its config echo
+IGNORED_FIELDS = {
+    "tracemin": ("l", "mtx_k", "mtx_m"),
+    "lrevp": ("n", "kp", "l", "matrix", "matrix_param"),
+    "procrustes": ("k", "kp", "matrix", "matrix_param", "mtx_k", "mtx_m"),
+    "matexeq": ("kp", "l", "mtx_k", "mtx_m"),
+}
 
 
 class ConfigError(ValueError):
@@ -140,9 +148,11 @@ class ExperimentConfig:
                 raise ConfigError(f"k = {self.k} must be at least 1")
 
     def lines(self) -> list[str]:
-        """Resolved ``key = value`` echo, one field per line."""
+        """Resolved ``key = value`` echo, one line per field the problem reads."""
         out = []
         for field_ in dataclasses.fields(self):
+            if field_.name in IGNORED_FIELDS[self.problem]:
+                continue
             value = getattr(self, field_.name)
             out.append(f"{field_.name} = {'none' if value is None else value}")
         return out
@@ -252,9 +262,10 @@ def build_problem(config: ExperimentConfig) -> tuple[Problem, np.ndarray, np.nda
     a = sym((basis * a_eigs) @ basis.T)
     g = test_matrix(config.matrix, n, config.matrix_param)
     spec = ManifoldSpec(a, np.eye(k))
-    x_star = make_point(spec, pos_indices=np.arange(k))
+    # both points from one n x n eigendecomposition of A
+    x_star, x0 = _points(spec, (np.arange(k), None), (np.arange(p - k, p), None))
     problem = matrix_equation_problem(g, g @ x_star, spec, metric=config.metric)
-    return problem, make_point(spec, pos_indices=np.arange(p - k, p)), x_star
+    return problem, x0, x_star
 
 
 def _random_spd(p: int, rng: np.random.Generator) -> np.ndarray:

@@ -23,10 +23,6 @@ class Inertia(NamedTuple):
     n_neg: int
     n_zero: int
 
-    @property
-    def order(self) -> int:
-        return self.n_pos + self.n_neg + self.n_zero
-
 
 def sym(omega: np.ndarray) -> np.ndarray:
     """Symmetric part (omega + omega^T)/2 of a square matrix."""
@@ -187,18 +183,3 @@ def read_mtx(path) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValueError(f"non-finite entries in {path}")
     return a
-
-
-def write_mtx(path, a: np.ndarray, fmt: str = "array") -> None:
-    """Write a dense real matrix to Matrix Market format.
-
-    fmt="array" writes dense storage, fmt="coordinate" sparse triplets;
-    symmetry is detected and exploited by the writer in both cases.
-    """
-    a = np.asarray(a, dtype=float)
-    if fmt == "array":
-        scipy.io.mmwrite(str(path), a)
-    elif fmt == "coordinate":
-        scipy.io.mmwrite(str(path), scipy.sparse.coo_matrix(a))
-    else:
-        raise ValueError(f"unknown Matrix Market format {fmt!r}")

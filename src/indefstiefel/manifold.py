@@ -16,27 +16,11 @@ S = X^T A M_X^{-1} A X.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 import scipy.linalg
 
-from .linalg import inertia, sign_counts, skew, solve_lyapunov, sym
-
-__all__ = [
-    "ManifoldSpec",
-    "MetricSpec",
-    "TangentVector",
-    "feasibility",
-    "make_point",
-    "assemble_tangent",
-    "random_tangent",
-    "tangency_residual",
-    "metric_inner",
-    "metric_norm",
-    "project_tangent",
-    "riemannian_gradient",
-]
+from .linalg import inertia, sign_counts, solve_lyapunov, sym
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -76,7 +60,6 @@ class ManifoldSpec:
         # the diagonal of a diagonal A, else None
         self._a_diag = np.diag(self.A) if self._is_diagonal(self.A) else None
         a_eigvals = self._a_diag if self._a_diag is not None else np.linalg.eigvalsh(self.A)
-        self.norm_a = float(np.max(np.abs(a_eigvals)))
         self.inertia_a = sign_counts(a_eigvals)
         if self.inertia_a.n_zero > 0:
             raise ValueError("A is singular (zero eigenvalue within tolerance)")
@@ -99,11 +82,6 @@ class ManifoldSpec:
     def _is_diagonal(a: np.ndarray) -> bool:
         # every nonzero entry lies on the diagonal
         return np.count_nonzero(a) == np.count_nonzero(np.diag(a))
-
-    @property
-    def dim(self) -> int:
-        """Manifold dimension nk - k(k+1)/2."""
-        return self.n * self.k - self.k * (self.k + 1) // 2
 
     def _column(self, x: np.ndarray) -> np.ndarray:
         """The diagonal of A shaped to scale the rows of x."""
@@ -132,40 +110,18 @@ class ManifoldSpec:
         return np.asarray(b, dtype=float) / self._column(b)
 
 
-@dataclass
-class TangentVector:
-    """A tangent vector ``value`` anchored at the base point ``base``."""
-
-    base: np.ndarray
-    value: np.ndarray
-
-    @property
-    def shape(self):
-        return self.value.shape
-
-
-def _value(z) -> np.ndarray:
-    return z.value if isinstance(z, TangentVector) else np.asarray(z, dtype=float)
-
-
-def _check_base(x: np.ndarray, z) -> np.ndarray:
-    if isinstance(z, TangentVector) and not np.array_equal(z.base, x):
-        raise ValueError("tangent vector is anchored at a different base point")
-    return _value(z)
-
-
 @dataclass(frozen=True)
 class MetricSpec:
     """A tractable metric g_X(Z1, Z2) = tr(Z1^T M_X Z2).
 
     kind "euclidean": M_X = I.  kind "weighted": M_X = M constant, with a
-    Cholesky factorization cached for applying M^{-1}.  kind "pointwise":
-    M_X produced by a callback at each base point (factorized per call).
+    Cholesky factorization cached for applying M^{-1}.  The solver calls
+    only :meth:`apply` and :meth:`apply_inverse`, so any object with those
+    two methods can stand in for an X-dependent metric.
     """
 
     kind: str
     matrix: np.ndarray | None = None
-    matrix_fn: Callable[[np.ndarray], np.ndarray] | None = None
     _chol: tuple | None = field(default=None, repr=False, compare=False)
 
     @staticmethod
@@ -181,40 +137,24 @@ class MetricSpec:
             raise ValueError("metric matrix is not positive definite") from exc
         return MetricSpec(kind="weighted", matrix=m, _chol=chol)
 
-    @staticmethod
-    def pointwise(fn: Callable[[np.ndarray], np.ndarray]) -> "MetricSpec":
-        return MetricSpec(kind="pointwise", matrix_fn=fn)
-
     def apply(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """M_X y at base point x."""
         if self.kind == "euclidean":
             return np.asarray(y, dtype=float)
-        if self.kind == "weighted":
-            return self.matrix @ y
-        return self.matrix_fn(x) @ y
+        return self.matrix @ y
 
     def apply_inverse(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """M_X^{-1} y at base point x."""
         if self.kind == "euclidean":
             return np.asarray(y, dtype=float)
         # cho_factor checked the factor once; skip the O(n^2) recheck per solve
-        if self.kind == "weighted":
-            return scipy.linalg.cho_solve(self._chol, y, check_finite=False)
-        m = sym(self.matrix_fn(x))
-        return scipy.linalg.cho_solve(scipy.linalg.cho_factor(m), y, check_finite=False)
+        return scipy.linalg.cho_solve(self._chol, y, check_finite=False)
 
 
 def feasibility(spec: ManifoldSpec, x: np.ndarray) -> float:
     """Constraint residual ||X^T A X - J||_F."""
     x = np.asarray(x, dtype=float)
     return float(np.linalg.norm(x.T @ spec.apply_a(x) - spec.J))
-
-
-def tangency_residual(spec: ManifoldSpec, x: np.ndarray, z) -> float:
-    """||Z^T A X + X^T A Z||_F, zero exactly when Z is tangent at X."""
-    z = _value(z)
-    ax = spec.apply_a(x)
-    return float(np.linalg.norm(z.T @ ax + ax.T @ z))
 
 
 def make_point(
@@ -231,6 +171,13 @@ def make_point(
     negative) eigendirections in ascending-eigenvalue order; by default the
     directions of smallest magnitude eigenvalues are used.
     """
+    (x,) = _points(spec, (pos_indices, neg_indices))
+    return x
+
+
+def _points(spec: ManifoldSpec, *selections) -> list[np.ndarray]:
+    """make_point for each (pos_indices, neg_indices) pair, all from one
+    eigendecomposition of A (n x n for a dense A)."""
     if spec._a_diag is None:
         w, v = np.linalg.eigh(spec.A)
     else:
@@ -241,66 +188,44 @@ def make_point(
     kp, km = spec.inertia_j.n_pos, spec.inertia_j.n_neg
     pos = np.flatnonzero(w > 0)
     neg = np.flatnonzero(w < 0)
-    if pos_indices is None:
-        pos_indices = np.argsort(w[pos])[:kp]  # smallest positive eigenvalues
-    if neg_indices is None:
-        neg_indices = np.argsort(-w[neg])[:km]  # negative ones closest to zero
-    pos_indices = np.asarray(pos_indices, dtype=int)
-    neg_indices = np.asarray(neg_indices, dtype=int)
-    if len(pos_indices) != kp or len(neg_indices) != km:
-        raise ValueError(
-            f"need exactly {kp} positive and {km} negative directions, "
-            f"got {len(pos_indices)} and {len(neg_indices)}"
-        )
-    cols = np.concatenate([pos[pos_indices], neg[neg_indices]])
-    if len(set(cols.tolist())) != len(cols):
-        raise ValueError("duplicate eigendirection selected")
-    if spec._a_diag is None:
-        frame = v[:, cols]
-    else:
-        # the layout and +0 entries of np.eye(n)[:, rows][:, cols], so that
-        # frame @ u.T below runs the same BLAS arithmetic on any library
-        frame = np.zeros((spec.n, len(cols)), order="F")
-        frame[rows[cols], np.arange(len(cols))] = 1.0
-    frame = frame / np.sqrt(np.abs(w[cols]))
-
     # orthogonal U with U^T J U = diag(I_kp, -I_km)
     wj, uj = np.linalg.eigh(spec.J)
     order = np.argsort(-wj)  # +1 eigenvalues first
     u = uj[:, order]
-    return frame @ u.T
+    points = []
+    for pos_indices, neg_indices in selections:
+        if pos_indices is None:
+            pos_indices = np.argsort(w[pos])[:kp]  # smallest positive eigenvalues
+        if neg_indices is None:
+            neg_indices = np.argsort(-w[neg])[:km]  # negative ones closest to zero
+        pos_indices = np.asarray(pos_indices, dtype=int)
+        neg_indices = np.asarray(neg_indices, dtype=int)
+        if len(pos_indices) != kp or len(neg_indices) != km:
+            raise ValueError(
+                f"need exactly {kp} positive and {km} negative directions, "
+                f"got {len(pos_indices)} and {len(neg_indices)}"
+            )
+        cols = np.concatenate([pos[pos_indices], neg[neg_indices]])
+        if len(set(cols.tolist())) != len(cols):
+            raise ValueError("duplicate eigendirection selected")
+        if spec._a_diag is None:
+            frame = v[:, cols]
+        else:
+            # the layout and +0 entries of np.eye(n)[:, rows][:, cols], so that
+            # frame @ u.T below runs the same BLAS arithmetic on any library
+            frame = np.zeros((spec.n, len(cols)), order="F")
+            frame[rows[cols], np.arange(len(cols))] = 1.0
+        frame = frame / np.sqrt(np.abs(w[cols]))
+        points.append(frame @ u.T)
+    return points
 
 
-def assemble_tangent(spec: ManifoldSpec, x: np.ndarray, s_skew: np.ndarray, k_free: np.ndarray) -> TangentVector:
-    """Tangent vector X (J s_skew) + A^{-1} X_perp k_free from free parameters.
-
-    ``s_skew`` is k x k skew-symmetric (so W = J s_skew satisfies J W skew),
-    ``k_free`` is (n-k) x k.  X_perp is an orthonormal basis of ker(X^T).
-    """
-    x = np.asarray(x, dtype=float)
-    w = spec.J @ skew(s_skew)
-    z = x @ w
-    if spec.n > spec.k:
-        x_perp = scipy.linalg.null_space(x.T)
-        z = z + spec.solve_a(x_perp @ k_free)
-    return TangentVector(base=x, value=z)
-
-
-def random_tangent(spec: ManifoldSpec, x: np.ndarray, rng: np.random.Generator) -> TangentVector:
-    """Draw a random tangent vector at x (standard normal free parameters)."""
-    s = rng.standard_normal((spec.k, spec.k))
-    k_free = rng.standard_normal((spec.n - spec.k, spec.k))
-    return assemble_tangent(spec, x, skew(s), k_free)
-
-
-def metric_inner(metric: MetricSpec, x: np.ndarray, z1, z2) -> float:
+def metric_inner(metric: MetricSpec, x: np.ndarray, z1: np.ndarray, z2: np.ndarray) -> float:
     """g_X(Z1, Z2) = tr(Z1^T M_X Z2)."""
-    z1 = _check_base(x, z1)
-    z2 = _check_base(x, z2)
     return float(np.vdot(z1, metric.apply(x, z2)))
 
 
-def metric_norm(metric: MetricSpec, x: np.ndarray, z) -> float:
+def metric_norm(metric: MetricSpec, x: np.ndarray, z: np.ndarray) -> float:
     """Metric norm sqrt(g_X(Z, Z))."""
     return float(np.sqrt(max(metric_inner(metric, x, z, z), 0.0)))
 
@@ -314,17 +239,7 @@ def _project(ax: np.ndarray, mi_ax: np.ndarray, y: np.ndarray) -> np.ndarray:
     return y - mi_ax @ u
 
 
-def project_tangent(spec: ManifoldSpec, metric: MetricSpec, x: np.ndarray, y: np.ndarray) -> TangentVector:
-    """g-orthogonal projection of an ambient Y onto the tangent space at x.
-
-    The normal component is M_X^{-1} A X U where U solves the Lyapunov
-    equation S U + U S = 2 sym(X^T A Y).
-    """
-    ax = spec.apply_a(x)
-    return TangentVector(base=x, value=_project(ax, metric.apply_inverse(x, ax), _value(y)))
-
-
-def riemannian_gradient(spec: ManifoldSpec, metric: MetricSpec, x: np.ndarray, egrad: np.ndarray) -> TangentVector:
+def riemannian_gradient(spec: ManifoldSpec, metric: MetricSpec, x: np.ndarray, egrad: np.ndarray) -> np.ndarray:
     """Riemannian gradient from the Euclidean gradient of f at x.
 
     grad f(X) = M_X^{-1} egrad - M_X^{-1} A X U with S U + U S =
@@ -335,4 +250,4 @@ def riemannian_gradient(spec: ManifoldSpec, metric: MetricSpec, x: np.ndarray, e
     ax = spec.apply_a(x)
     k = ax.shape[1]
     mi = metric.apply_inverse(x, np.hstack([ax, egrad]))
-    return TangentVector(base=x, value=_project(ax, mi[:, :k], mi[:, k:]))
+    return _project(ax, mi[:, :k], mi[:, k:])

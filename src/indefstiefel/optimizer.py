@@ -24,19 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .manifold import feasibility, metric_inner, metric_norm, random_tangent, riemannian_gradient
+from .manifold import feasibility, metric_norm, riemannian_gradient
 from .retraction import CayleyCurve, WellDefinednessError
 
-__all__ = [
-    "SolverConfig",
-    "SolverState",
-    "RunRecord",
-    "LineSearchStalled",
-    "bb_trial_step",
-    "nonmonotone_search",
-    "solve",
-    "gradient_check",
-]
 
 HISTORY_COLUMNS = ("iter", "f", "gradnorm", "tau", "feas", "time_s")
 
@@ -58,17 +48,16 @@ class SolverConfig:
 
 @dataclass
 class SolverState:
-    """Mutable loop state; exposed so the search step is testable alone."""
+    """Mutable loop state of :func:`solve`, read and advanced by
+    :func:`nonmonotone_search`."""
 
     j: int
     x: np.ndarray
-    f: float
     z: np.ndarray          # search direction, -grad f(x)
     gradnorm: float        # metric norm of grad f(x)
     q: float
     c: float
     gamma: float
-    tau: float = 0.0
     feval: int = 0
     prev_x: np.ndarray | None = None
     prev_z: np.ndarray | None = None
@@ -191,7 +180,7 @@ def solve(problem, x0: np.ndarray, config: SolverConfig | None = None) -> RunRec
     gn0 = metric_norm(metric, x0, grad)
 
     state = SolverState(
-        j=0, x=x0, f=f0, z=-grad.value, gradnorm=gn0,
+        j=0, x=x0, z=-grad, gradnorm=gn0,
         q=1.0, c=f0, gamma=config.gamma0, feval=1,
     )
     rows = [(0, f0, gn0, 0.0, feas0, time.perf_counter() - t_start)]
@@ -222,12 +211,12 @@ def solve(problem, x0: np.ndarray, config: SolverConfig | None = None) -> RunRec
         state.c = (config.alpha * state.q * state.c + f_next) / q_next
         state.q = q_next
         state.prev_x, state.prev_z = state.x, state.z
-        state.x, state.f, state.tau = x_next, f_next, tau
+        state.x = x_next
         state.j += 1
 
         grad = riemannian_gradient(spec, metric, x_next, problem.egrad(x_next))
         state.gradnorm = metric_norm(metric, x_next, grad)
-        state.z = -grad.value
+        state.z = -grad
         rows.append(
             (state.j, f_next, state.gradnorm, tau, feasibility(spec, x_next),
              time.perf_counter() - t_start)
@@ -243,35 +232,3 @@ def solve(problem, x0: np.ndarray, config: SolverConfig | None = None) -> RunRec
         n_feval=state.feval,
         cpu_s=time.perf_counter() - t_start,
     )
-
-
-def gradient_check(
-    problem,
-    x: np.ndarray,
-    h: float,
-    n_dirs: int = 20,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Max relative finite-difference error of the Riemannian gradient at x.
-
-    For sampled unit tangent directions Z compares the forward difference of
-    f along the retraction against g_X(grad f, Z):
-    |(f(R_X(hZ)) - f(X)) / h - g| / (1 + |g|).
-    """
-    if rng is None:
-        rng = np.random.default_rng(0)
-    spec, metric = problem.spec, problem.metric
-    f_x = problem.f(x)  # before egrad, which then reuses f's product
-    grad = riemannian_gradient(spec, metric, x, problem.egrad(x))
-    worst = 0.0
-    for _ in range(n_dirs):
-        z = random_tangent(spec, x, rng).value
-        nz = np.linalg.norm(z)
-        if nz == 0.0:
-            continue
-        z = z / nz
-        g = metric_inner(metric, x, grad, z)
-        f_h = problem.f(CayleyCurve(spec, x, z).at(h))
-        err = abs((f_h - f_x) / h - g) / (1.0 + abs(g))
-        worst = max(worst, err)
-    return worst

@@ -24,19 +24,6 @@ import scipy.linalg
 from .linalg import sym
 from .manifold import ManifoldSpec, MetricSpec, feasibility
 
-__all__ = [
-    "Problem",
-    "PencilEigResult",
-    "trace_min_problem",
-    "extract_eigenpairs",
-    "lrevp_problem",
-    "lrevp_initial_guess",
-    "procrustes_problem",
-    "matrix_equation_problem",
-    "consistent_solution",
-    "pencil_oracle",
-]
-
 
 @dataclass
 class Problem:

@@ -30,19 +30,8 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import checked_solve, skew
-from .manifold import ManifoldSpec, _value
+from .manifold import ManifoldSpec
 
-__all__ = [
-    "WellDefinednessError",
-    "CayleyCurve",
-    "s_matrix",
-    "retract",
-    "definedness_radius",
-    "cayley_radius_bound",
-    "retraction_axioms_check",
-    "spectrum_is_imaginary",
-    "second_order_defect",
-]
 
 RCOND_FLOOR = 1e-14
 
@@ -60,21 +49,6 @@ def _woodbury(n: int, k: int) -> bool:
     return 3 * k <= n
 
 
-def s_matrix(spec: ManifoldSpec, x: np.ndarray, z) -> np.ndarray:
-    """The skew matrix S_{X,Z} = X J Z^T A X J X^T - X J Z^T + Z J X^T.
-
-    The k x k core Z^T A X is skew for tangent Z; it is re-skewed here so the
-    assembled S is skew to roundoff even when Z carries a small tangency
-    defect — exact skewness of S is what lets the Cayley transform preserve
-    X^T A X along the whole curve.
-    """
-    x = np.asarray(x, dtype=float)
-    z = _value(z)
-    xj = x @ spec.J
-    core = skew(z.T @ spec.apply_a(x))
-    return xj @ (core @ (spec.J @ x.T)) - xj @ z.T + z @ (spec.J @ x.T)
-
-
 class CayleyCurve:
     """The curve t -> R_X(t Z) for fixed (X, Z), reusable across step sizes.
 
@@ -83,10 +57,12 @@ class CayleyCurve:
     against n, else the n x n resolvent.
     """
 
-    def __init__(self, spec: ManifoldSpec, x: np.ndarray, z):
+    def __init__(self, spec: ManifoldSpec, x: np.ndarray, z: np.ndarray):
         self.x = np.asarray(x, dtype=float)
-        z = _value(z)
-        # the k x k core of S_{X,Z} is re-skewed as in s_matrix
+        z = np.asarray(z, dtype=float)
+        # the k x k core Z^T A X is skew for tangent Z; re-skewing it keeps S
+        # skew to roundoff when Z carries a small tangency defect, and exact
+        # skewness is what makes the transform preserve X^T A X
         ax = spec.apply_a(self.x)
         az = spec.apply_a(z)
         core = skew(az.T @ self.x)
@@ -121,64 +97,3 @@ class CayleyCurve:
             raise WellDefinednessError(
                 f"Cayley retraction undefined at t={t:.6g}: {exc}"
             ) from exc
-
-
-def retract(spec: ManifoldSpec, x: np.ndarray, z, t: float) -> np.ndarray:
-    """One-shot R_X(t Z); see CayleyCurve for amortized repeated evaluation."""
-    return CayleyCurve(spec, x, z).at(t)
-
-
-def cayley_radius_bound(norm_x: float, norm_j: float, norm_a: float) -> float:
-    """Guaranteed-definedness radius 1/(||X||^3 ||J||^2 ||A||^2 + 2 ||X|| ||J|| ||A||)."""
-    return 1.0 / (norm_x**3 * norm_j**2 * norm_a**2 + 2.0 * norm_x * norm_j * norm_a)
-
-
-def definedness_radius(spec: ManifoldSpec, x: np.ndarray) -> float:
-    """Radius delta such that R_X(Z) exists for every tangent ||Z||_2 < delta.
-
-    Spectral norms throughout.  ||J||_2 = 1 whenever J^2 = I, but it is
-    evaluated rather than assumed.
-    """
-    norm_x = float(np.linalg.norm(x, 2))
-    norm_j = float(np.linalg.norm(spec.J, 2))
-    return cayley_radius_bound(norm_x, norm_j, spec.norm_a)
-
-
-def retraction_axioms_check(spec: ManifoldSpec, x: np.ndarray, z, h: float) -> tuple[float, float]:
-    """Residuals of the two retraction axioms at step h.
-
-    r1 = ||R_X(0) - X||_F  (should be at solve roundoff), and
-    r2 = ||(R_X(hZ) - X)/h - Z||_F  (O(h) as h -> 0).
-    """
-    curve = CayleyCurve(spec, x, z)
-    z = _value(z)
-    r1 = float(np.linalg.norm(curve.at(0.0) - x))
-    r2 = float(np.linalg.norm((curve.at(h) - x) / h - z))
-    return r1, r2
-
-
-def spectrum_is_imaginary(s: np.ndarray, a: np.ndarray, tol: float = 1e-10) -> bool:
-    """Whether every eigenvalue of S A has |Re lambda| <= tol * ||S A||_2.
-
-    True for any skew S paired with symmetric positive definite A, which is
-    why the retraction is globally defined in that regime; indefinite A
-    breaks it (a 2x2 instance of S A with real spectrum {+1, -1} exists).
-    """
-    sa = np.asarray(s, dtype=float) @ np.asarray(a, dtype=float)
-    scale = float(np.linalg.norm(sa, 2))
-    if scale == 0.0:
-        return True
-    w = np.linalg.eigvals(sa)
-    return bool(np.max(np.abs(w.real)) <= tol * scale)
-
-
-def second_order_defect(spec: ManifoldSpec, x: np.ndarray, z) -> np.ndarray:
-    """The k x k matrix J X^T S_{X,Z} A Z.
-
-    The Cayley curve's acceleration lies in the normal space exactly when
-    this matrix is symmetric; an asymmetric instance witnesses that the
-    retraction is not second order on this manifold.
-    """
-    z = _value(z)
-    s = s_matrix(spec, x, z)
-    return spec.J @ (x.T @ (s @ spec.apply_a(z)))

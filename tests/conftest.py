@@ -2,21 +2,17 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+import scipy.linalg
 
-from indefstiefel import (
-    CayleyCurve,
-    ManifoldSpec,
-    WellDefinednessError,
-    checked_solve,
-    make_point,
-    random_tangent,
-    retract,
-    signature,
-    skew,
-)
+from indefstiefel import CayleyCurve, ManifoldSpec, WellDefinednessError, make_point, signature
 from indefstiefel import retraction
+from indefstiefel.linalg import checked_solve, random_rotation, skew, sym
+
+from theory import random_tangent
 
 
 def random_spd(rng: np.random.Generator, n: int, lo: float = 0.5, hi: float = 5.0) -> np.ndarray:
@@ -38,6 +34,15 @@ def random_indefinite(
     return 0.5 * (a + a.T)
 
 
+def block_diag_orthogonal(p: int, m: int, rng: np.random.Generator) -> np.ndarray:
+    """diag(Q1, Q2) with random rotations of orders p and m: orthogonal, and
+    J-orthogonal for J = diag(I_p, -I_m)."""
+    v = np.zeros((p + m, p + m))
+    v[:p, :p] = random_rotation(p, rng)
+    v[p:, p:] = random_rotation(m, rng)
+    return v
+
+
 def random_spec(
     rng: np.random.Generator, n: int, p: int, kp: int, km: int, diagonal: bool = False
 ) -> ManifoldSpec:
@@ -57,11 +62,21 @@ def perturbed_point(
 ) -> np.ndarray:
     """A feasible point away from the canonical starting point."""
     x = make_point(spec)
-    z = random_tangent(spec, x, rng).value
+    z = random_tangent(spec, x, rng)
     norm = np.linalg.norm(z)
     if norm > 0:
-        x = retract(spec, x, (scale / norm) * z, 1.0)
+        x = CayleyCurve(spec, x, (scale / norm) * z).at(1.0)
     return x
+
+
+def pointwise_metric(fn) -> SimpleNamespace:
+    """An X-dependent metric M_X = fn(X), factorized at each call, with the
+    two methods the solver calls on a metric."""
+
+    def apply_inverse(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return scipy.linalg.cho_solve(scipy.linalg.cho_factor(sym(fn(x))), y, check_finite=False)
+
+    return SimpleNamespace(apply=lambda x, y: fn(x) @ y, apply_inverse=apply_inverse)
 
 
 class DenseCayleyCurve:
@@ -73,9 +88,9 @@ class DenseCayleyCurve:
     CayleyCurve, so it can stand in for the library's curve in ``solve``.
     """
 
-    def __init__(self, spec: ManifoldSpec, x: np.ndarray, z):
+    def __init__(self, spec: ManifoldSpec, x: np.ndarray, z: np.ndarray):
         self.x = np.asarray(x, dtype=float)
-        z = np.asarray(getattr(z, "value", z), dtype=float)
+        z = np.asarray(z, dtype=float)
         ax = spec.apply_a(self.x)
         az = spec.apply_a(z)
         core = skew(az.T @ self.x)

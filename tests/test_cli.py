@@ -10,17 +10,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.io
 
-from indefstiefel import (
-    HISTORY_COLUMNS,
-    RunRecord,
-    cli,
-    feasibility,
-    metric_norm,
-    optimizer,
-    riemannian_gradient,
-    write_mtx,
-)
+from indefstiefel import RunRecord, cli, feasibility, make_point, optimizer
+from indefstiefel.manifold import metric_norm, riemannian_gradient
+from indefstiefel.optimizer import HISTORY_COLUMNS
 from indefstiefel.cli import (
     ExperimentConfig,
     build_parser,
@@ -141,11 +135,50 @@ def test_run_matexeq_reports_exact_objective(tmp_path):
     assert summary["diff"] <= 1e-6
 
 
+def test_matexeq_setup_runs_one_eigendecomposition_of_a(monkeypatch, tmp_path):
+    # x* and x0 are both built from A's eigenvectors: one n x n eigh serves both
+    n, p, k = 24, 18, 3
+    config = small_config(tmp_path, problem="matexeq", n=n, p=p, k=k,
+                          matrix="kms", matrix_param=0.5)
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    problem, x0, x_star = build_problem(config)
+    assert shapes.count((n, n)) == 1
+    # the same points, bit for bit, as one make_point call each
+    assert np.array_equal(x_star, make_point(problem.spec, pos_indices=np.arange(k)))
+    assert np.array_equal(x0, make_point(problem.spec, pos_indices=np.arange(p - k, p)))
+
+
+def test_config_echo_lists_only_fields_the_problem_reads(tmp_path, capsys):
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main([
+        "run", "--problem", "procrustes", "--n", "20", "--p", "14", "--rstop", "1e-6",
+        "--seed", "1", "--out-dir", str(first),
+    ]) == 0
+    echo = (first / "config.txt").read_text()
+    assert echo in capsys.readouterr().out
+    keys = {line.split(" = ")[0] for line in echo.splitlines()}
+    assert keys.isdisjoint({"k", "kp", "matrix", "matrix_param", "mtx_k", "mtx_m"})
+    assert {"n", "p", "l", "seed", "rstop"} <= keys
+    # the echo is a config file that reproduces the run
+    assert main(["run", "--config", str(first / "config.txt"), "--out-dir", str(second)]) == 0
+    summaries = [json.loads((d / "summary.json").read_text()) for d in (first, second)]
+    for summary in summaries:
+        summary.pop("cpu_s")
+    assert summaries[0] == summaries[1]
+
+
 def test_run_lrevp_from_matrix_market_files(tmp_path):
     rng = np.random.default_rng(0)
     for name in ("K", "M"):
         w = rng.standard_normal((8, 8))
-        write_mtx(tmp_path / f"{name}.mtx", w @ w.T + 8 * np.eye(8))
+        scipy.io.mmwrite(str(tmp_path / f"{name}.mtx"), w @ w.T + 8 * np.eye(8))
     out = tmp_path / "out"
     code = main([
         "run", "--problem", "lrevp", "--k", "2",

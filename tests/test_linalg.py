@@ -4,23 +4,22 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.io
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from indefstiefel import (
+from indefstiefel import read_mtx, signature
+from indefstiefel import test_matrix as gallery
+from indefstiefel.linalg import (
     Inertia,
     checked_solve,
     inertia,
     random_rotation,
-    read_mtx,
-    signature,
     skew,
     solve_lyapunov,
     sym,
-    write_mtx,
 )
-
-from indefstiefel import test_matrix as gallery
 
 from conftest import random_spd
 
@@ -52,7 +51,7 @@ def test_inertia_counts():
     diag = np.concatenate([np.arange(1.0, 151.0), -np.arange(50.0, 0.0, -1.0)])
     result = inertia(np.diag(diag))
     assert result == Inertia(150, 50, 0)
-    assert result.order == 200
+    assert sum(result) == 200
 
     assert inertia(np.zeros((4, 4))) == Inertia(0, 0, 4)
     # relative threshold: 1e-16 is a zero next to eigenvalues of size 3
@@ -179,7 +178,7 @@ def test_mtx_roundtrip(tmp_path):
     a = sym(rng.standard_normal((6, 6)))
     dense = tmp_path / "dense.mtx"
     coord = tmp_path / "coord.mtx"
-    write_mtx(dense, a)
-    write_mtx(coord, a, fmt="coordinate")
+    scipy.io.mmwrite(str(dense), a)
+    scipy.io.mmwrite(str(coord), scipy.sparse.coo_matrix(a))
     assert np.allclose(read_mtx(dense), a, atol=1e-12)
     assert np.allclose(read_mtx(coord), a, atol=1e-12)

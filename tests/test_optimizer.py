@@ -8,28 +8,24 @@ import numpy as np
 import pytest
 
 from indefstiefel import (
-    HISTORY_COLUMNS,
     ManifoldSpec,
     Problem,
     MetricSpec,
-    RunRecord,
     SolverConfig,
-    bb_trial_step,
     feasibility,
-    gradient_check,
     make_point,
-    metric_norm,
     pencil_oracle,
-    random_tangent,
-    riemannian_gradient,
     signature,
     solve,
     trace_min_problem,
 )
 from indefstiefel import optimizer, retraction
 from indefstiefel import test_matrix as gallery
+from indefstiefel.manifold import metric_norm, riemannian_gradient
+from indefstiefel.optimizer import HISTORY_COLUMNS, bb_trial_step
 
-from conftest import CURVES, perturbed_point, random_spd
+from conftest import CURVES, block_diag_orthogonal, perturbed_point, random_indefinite, random_spd
+from theory import gradient_check
 
 
 def hyperbola_problem():
@@ -336,3 +332,34 @@ def test_diagonal_a_operator_keeps_iterates_bitwise(monkeypatch, form):
     assert (fast.n_iter, fast.n_feval) == (dense.n_iter, dense.n_feval)
     assert np.array_equal(fast.x, dense.x)
     assert np.array_equal(fast.history()[:, 1], dense.history()[:, 1])
+
+
+@pytest.mark.parametrize("case", ["lehmer", "dense_a"])
+def test_iterates_are_equivariant_under_j_orthogonal_rotation(case):
+    # for orthogonal Q with Q J = J Q, f, the metric norm and the BB inner
+    # products are invariant and the gradient maps to grad Q, so the run from
+    # X0 Q has iterates X_j Q.  The hessian metric hands the projection
+    # M^{-1} egrad = 2 X, whose X^T A (2 X) is symmetric already, so the
+    # euclidean one runs too
+    for metric in ("hessian", "euclidean"):
+        rng = np.random.default_rng(31)
+        if case == "lehmer":
+            a = np.diag(np.concatenate([np.arange(1.0, 151.0), -np.arange(50.0, 0.0, -1.0)]))
+            m, j = gallery("lehmer", 200), signature(3, 2)
+        else:
+            m, a, j = random_spd(rng, 40), random_indefinite(rng, 40, 25), signature(2, 2)
+        problem = trace_min_problem(m, a, j, metric=metric)
+        kp, km, _ = problem.spec.inertia_j
+        q = block_diag_orthogonal(kp, km, rng)
+        x0 = make_point(problem.spec)
+        for iters in (1, 2):
+            config = SolverConfig(max_iter=iters)
+            base, rotated = solve(problem, x0, config), solve(problem, x0 @ q, config)
+            assert base.n_iter == rotated.n_iter == iters
+            assert np.linalg.norm(rotated.x - base.x @ q) <= 1e-10 * np.linalg.norm(base.x), metric
+        if metric == "hessian":
+            _, _, f_star = pencil_oracle(m, a, kp, km)
+            for start in (x0, x0 @ q):
+                record = solve(problem, start)
+                assert record.status == "converged"
+                assert abs(record.obj - f_star) <= 1e-6 * abs(f_star)

@@ -9,25 +9,24 @@ import scipy.linalg
 from indefstiefel import (
     ManifoldSpec,
     SolverConfig,
-    consistent_solution,
     extract_eigenpairs,
     feasibility,
-    gradient_check,
     lrevp_initial_guess,
     lrevp_problem,
     make_point,
     matrix_equation_problem,
     pencil_oracle,
     procrustes_problem,
-    random_rotation,
     signature,
     solve,
     trace_min_problem,
 )
 from indefstiefel import problems
 from indefstiefel import test_matrix as gallery
+from indefstiefel.problems import consistent_solution
 
-from conftest import perturbed_point, random_spd
+from conftest import block_diag_orthogonal, perturbed_point, random_indefinite, random_spd
+from theory import gradient_check
 
 
 # ---------------------------------------------------------------- pencil oracle
@@ -184,9 +183,7 @@ def test_extract_eigenpairs_at_oracle_minimizer():
 def test_solver_recovers_pencil_eigenvalues():
     rng = np.random.default_rng(3)
     n, p = 14, 8
-    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
-    a_eigs = np.concatenate([rng.uniform(0.5, 3.0, p), -rng.uniform(0.5, 3.0, n - p)])
-    a = 0.5 * ((q * a_eigs) @ q.T + ((q * a_eigs) @ q.T).T)
+    a = random_indefinite(rng, n, p)
     m = random_spd(rng, n)
     kp, km = 2, 2
     problem = trace_min_problem(m, a, signature(kp, km))
@@ -257,10 +254,7 @@ def test_procrustes_exact_fit_objective():
     n, p = 8, 5
     j = signature(p, n - p)
     g = rng.standard_normal((10, n))
-    v1 = random_rotation(p, rng)
-    v2 = random_rotation(n - p, rng)
-    v = np.zeros((n, n))
-    v[:p, :p], v[p:, p:] = v1, v2
+    v = block_diag_orthogonal(p, n - p, rng)
     b = g @ v
     problem = procrustes_problem(g, b, j)
     assert feasibility(problem.spec, v) <= 1e-12  # block-orthogonal V is J-orthogonal
@@ -274,10 +268,7 @@ def test_procrustes_desk_replica_converges_to_consistent_fit():
     p = 35
     j = signature(p, n - p)
     g = rng.standard_normal((l, n))
-    v1 = random_rotation(p, rng)
-    v2 = random_rotation(n - p, rng)
-    v = np.zeros((n, n))
-    v[:p, :p], v[p:, p:] = v1, v2
+    v = block_diag_orthogonal(p, n - p, rng)
     problem = procrustes_problem(g, g @ v, j)
     record = solve(problem, np.eye(n), SolverConfig(rstop=1e-6, max_iter=5000))
     assert record.status == "converged"
@@ -291,9 +282,7 @@ def test_procrustes_desk_replica_converges_to_consistent_fit():
 def test_consistent_solution_detection():
     rng = np.random.default_rng(9)
     n, k = 10, 3
-    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
-    a_eigs = np.concatenate([rng.uniform(0.5, 3.0, 7), -rng.uniform(0.5, 3.0, 3)])
-    a = 0.5 * ((q * a_eigs) @ q.T + ((q * a_eigs) @ q.T).T)
+    a = random_indefinite(rng, n, 7)
     g = random_spd(rng, n)
     spec = ManifoldSpec(a, np.eye(k))
     x_star = make_point(spec)
@@ -308,9 +297,7 @@ def test_consistent_solution_detection():
 def test_matrix_equation_records_exact_answer():
     rng = np.random.default_rng(10)
     n, k = 12, 3
-    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
-    a_eigs = np.concatenate([rng.uniform(0.5, 3.0, 8), -rng.uniform(0.5, 3.0, 4)])
-    a = 0.5 * ((q * a_eigs) @ q.T + ((q * a_eigs) @ q.T).T)
+    a = random_indefinite(rng, n, 8)
     g = random_spd(rng, n)
     spec = ManifoldSpec(a, np.eye(k))
     x_star = make_point(spec)
