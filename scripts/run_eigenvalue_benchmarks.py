@@ -30,7 +30,7 @@ from indefstiefel import (
 def run(m_mat, a, kp, km, metric="hessian", label=""):
     problem = trace_min_problem(m_mat, a, signature(kp, km), metric=metric)
     record = solve(problem, make_point(problem.spec), SolverConfig(rstop=1e-9))
-    result = extract_eigenpairs(m_mat, problem.spec, record.x, kp, km)
+    result = extract_eigenpairs(problem, record.x)
     print(
         f"{label:34s} {record.status:9s} obj={record.obj:.9e} iter={record.n_iter:5d} "
         f"feas={record.feas:.2e} eig_rel={result.rel_err:.2e} cpu={record.cpu_s:6.2f}s"

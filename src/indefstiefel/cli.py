@@ -9,7 +9,8 @@ Subcommands:
 
 Artifacts of ``run`` (per out_dir): ``summary.json`` (terminal objective,
 gradient norm, feasibility, iteration/evaluation counts, solve wall time,
-plus eigenvalue residual or recovery distance when applicable),
+plus eigenvalue residual, or recovery distance and exact objective, when
+applicable),
 ``history.csv`` (columns ``iter,f,gradnorm,tau,feas,time_s``),
 ``config.txt`` (resolved key = value echo of the fields the problem reads),
 ``x_final.npy``.
@@ -209,9 +210,18 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
 def build_problem(config: ExperimentConfig) -> tuple[Problem, np.ndarray, np.ndarray | None]:
     """Instantiate (problem, x0, prescribed) for the configured benchmark.
 
-    prescribed is the known solution of the recovery problems (procrustes,
-    matexeq); None for the eigenvalue problems, which carry their pencil.
+    prescribed is the X* of the recovery problems (procrustes, matexeq),
+    whose B = G X* makes it a zero of the objective; None for the eigenvalue
+    problems, which carry their pencil.  Inputs the library rejects (a
+    non-SPD K or M, a singular A) are configuration errors.
     """
+    try:
+        return _build_problem(config)
+    except ValueError as exc:  # a ConfigError too, re-raised with its message
+        raise ConfigError(str(exc)) from exc
+
+
+def _build_problem(config: ExperimentConfig) -> tuple[Problem, np.ndarray, np.ndarray | None]:
     rng = np.random.default_rng(config.seed)
     n, p, m, k = config.n, config.p, config.n - config.p, config.k
 
@@ -281,13 +291,10 @@ def run_experiment(config: ExperimentConfig) -> tuple[RunRecord, Problem, dict]:
     summary["problem"] = config.problem
     summary["seed"] = config.seed
     if problem.pencil_m is not None:
-        kp, km, _ = problem.spec.inertia_j
-        result = extract_eigenpairs(problem.pencil_m, problem.spec, record.x, kp, km)
-        summary["eig_rel_err"] = result.rel_err
+        summary["eig_rel_err"] = extract_eigenpairs(problem, record.x).rel_err
     if prescribed is not None:
         summary["diff"] = float(np.linalg.norm(record.x - prescribed))
-    if problem.exact_obj is not None:
-        summary["exact_obj"] = problem.exact_obj
+        summary["exact_obj"] = 0.0
     return record, problem, summary
 
 

@@ -51,15 +51,6 @@ def sign_counts(w: np.ndarray, tol: float = 1e-12) -> Inertia:
     return Inertia(n_pos, n_neg, w.size - n_pos - n_neg)
 
 
-def inertia(s: np.ndarray, tol: float = 1e-12) -> Inertia:
-    """Count positive/negative/zero eigenvalues of a symmetric matrix.
-
-    An eigenvalue counts as zero when |lambda| <= tol * ||s||_2.  The zero
-    matrix has inertia (0, 0, order).
-    """
-    return sign_counts(np.linalg.eigvalsh(np.asarray(s, dtype=float)), tol)
-
-
 def solve_lyapunov(s: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Solve S U + U S = C for symmetric U, with S symmetric positive definite.
 

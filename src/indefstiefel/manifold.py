@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .linalg import inertia, sign_counts, solve_lyapunov, sym
+from .linalg import sign_counts, solve_lyapunov, sym
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -35,9 +35,8 @@ class ManifoldSpec:
     Construction symmetrizes the inputs, checks J^2 = I_k, checks that A is
     nonsingular, and checks the nonemptiness inequalities
     i_+(J) <= i_+(A), i_-(J) <= i_-(A).  A diagonal A is detected once and
-    held as its diagonal vector, so :meth:`apply_a` and :meth:`solve_a` are
-    row scalings; any other A gets a cached LU factorization so A^{-1} is
-    applied, never formed.  The dense ``A`` attribute stays for inspection.
+    held as its diagonal vector, so :meth:`apply_a` is a row scaling; any
+    other A is applied as the dense ``A`` attribute.
     """
 
     def __init__(self, a: np.ndarray, j: np.ndarray):
@@ -63,7 +62,7 @@ class ManifoldSpec:
         self.inertia_a = sign_counts(a_eigvals)
         if self.inertia_a.n_zero > 0:
             raise ValueError("A is singular (zero eigenvalue within tolerance)")
-        self.inertia_j = inertia(self.J)
+        self.inertia_j = sign_counts(np.linalg.eigvalsh(self.J))
         if self.inertia_j.n_zero > 0:
             raise ValueError("J is singular, cannot satisfy J^2 = I")
         if self.inertia_j.n_pos > self.inertia_a.n_pos:
@@ -76,7 +75,6 @@ class ManifoldSpec:
                 f"manifold is empty: i-(J) = {self.inertia_j.n_neg} exceeds "
                 f"i-(A) = {self.inertia_a.n_neg}"
             )
-        self._lu = None if self._a_diag is not None else scipy.linalg.lu_factor(self.A)
 
     @staticmethod
     def _is_diagonal(a: np.ndarray) -> bool:
@@ -101,13 +99,6 @@ class ManifoldSpec:
         out = np.multiply(self._column(x), x, order="C")
         out += 0.0
         return out
-
-    def solve_a(self, b: np.ndarray) -> np.ndarray:
-        """Apply A^{-1} to the columns of b: a division by a diagonal A,
-        else the cached LU factorization."""
-        if self._a_diag is None:
-            return scipy.linalg.lu_solve(self._lu, b)
-        return np.asarray(b, dtype=float) / self._column(b)
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,18 @@
-"""Benchmark problems posed on the indefinite Stiefel manifold.
+"""The paper's two objectives on the indefinite Stiefel manifold.
 
-The headline application is trace minimization for a symmetric-definite
-pencil (M, A) with M positive definite and A indefinite nonsingular:
+One is trace minimization for a symmetric-definite pencil (M, A) with M
+positive definite and A indefinite nonsingular:
 
     min tr(X^T M X)  s.t.  X^T A X = J = diag(I_kp, -I_km),
 
 whose optimal value is the sum of the kp smallest positive pencil
 eigenvalues minus the sum of the km negative ones closest to zero, and whose
-minimizers carry pencil eigenvectors.  Also provided: a linear response
-eigenvalue problem reduced to this form, a Procrustes fit on the
-J-orthogonal group, and a positive definite matrix equation G X = B solved
-as a least-squares objective on iSt_{A,I}.
+minimizers carry pencil eigenvectors.  The linear response eigenvalue
+problem is this objective on a structured pencil.
+
+The other is the matrix least-squares problem min ||G X - B||_F^2 on
+iSt_{A,J}, a frame for constrained matrix equations G X = B; the Procrustes
+fit on the J-orthogonal group is this objective on iSt_{J,J}.
 """
 
 from __future__ import annotations
@@ -21,18 +23,16 @@ from typing import Callable
 import numpy as np
 import scipy.linalg
 
-from .linalg import sym
-from .manifold import ManifoldSpec, MetricSpec, feasibility
+from .linalg import signature, sym
+from .manifold import ManifoldSpec, MetricSpec
 
 
 @dataclass
 class Problem:
     """Objective f with Euclidean gradient egrad on a manifold, plus metric.
 
-    ``pencil_m`` is the M of tr(X^T M X) for the trace-minimization problems,
-    whose pencil is (pencil_m, spec.A); None for the others.
-    ``exact_obj``/``exact_minimizer`` carry a closed-form answer when one is
-    known (consistent instances), for reporting and testing only.
+    ``pencil_m`` is the M of tr(X^T M X) for trace minimization, whose
+    pencil is (pencil_m, spec.A); None for least squares.
     """
 
     spec: ManifoldSpec
@@ -40,8 +40,6 @@ class Problem:
     f: Callable[[np.ndarray], float]
     egrad: Callable[[np.ndarray], np.ndarray]
     pencil_m: np.ndarray | None = None
-    exact_obj: float | None = None
-    exact_minimizer: np.ndarray | None = None
 
 
 @dataclass
@@ -91,12 +89,14 @@ class _LastProduct:
         return mx
 
 
-def _metric_for(choice: str, m: np.ndarray) -> MetricSpec:
-    if choice == "euclidean":
-        return MetricSpec.euclidean()
-    if choice == "hessian":
-        return MetricSpec.weighted(m)
-    raise ValueError(f"unknown metric choice {choice!r}")
+def _metric_for(choice: str, hessian: np.ndarray) -> MetricSpec:
+    """The metric for ``choice``: "hessian" takes M_X = half the objective's
+    constant Hessian, "euclidean" M_X = I.  Either way that Hessian must be
+    positive definite, so the objective is strictly convex."""
+    if choice not in ("euclidean", "hessian"):
+        raise ValueError(f"unknown metric choice {choice!r}")
+    weighted = MetricSpec.weighted(hessian)
+    return weighted if choice == "hessian" else MetricSpec.euclidean()
 
 
 def trace_min_problem(m: np.ndarray, a: np.ndarray, j: np.ndarray, metric: str = "hessian") -> Problem:
@@ -108,9 +108,6 @@ def trace_min_problem(m: np.ndarray, a: np.ndarray, j: np.ndarray, metric: str =
     m = sym(np.asarray(m, dtype=float))
     spec = ManifoldSpec(a, j)
     met = _metric_for(metric, m)
-    if met.kind == "euclidean":
-        # validate M is spd anyway: it defines the pencil
-        MetricSpec.weighted(m)
     mx = _LastProduct(m)
 
     def f(x: np.ndarray) -> float:
@@ -122,20 +119,24 @@ def trace_min_problem(m: np.ndarray, a: np.ndarray, j: np.ndarray, metric: str =
     return Problem(spec=spec, metric=met, f=f, egrad=egrad, pencil_m=m)
 
 
-def extract_eigenpairs(m: np.ndarray, spec: ManifoldSpec, x_star: np.ndarray, k_p: int, k_m: int) -> PencilEigResult:
-    """Pencil eigenpair estimates from a trace-minimization solution X*.
+def extract_eigenpairs(problem: Problem, x: np.ndarray) -> PencilEigResult:
+    """Pencil eigenpair estimates from a trace-minimization solution X.
 
-    At a minimizer, B = X*^T M X* is block diagonal as diag(L+, -L-) in the
+    At a minimizer, B = X^T M X is block diagonal as diag(L+, -L-) in the
     splitting induced by J = diag(I_kp, -I_km): eigendecomposing the leading
     block gives the positive eigenvalue estimates, the trailing block
     negated gives the negative ones, and the eigenvector rotations applied
-    to X* columns give pencil eigenvector estimates.
+    to X's columns give pencil eigenvector estimates.  Any other J (a
+    rotated signature, say) mixes the blocks, so it is rejected.
     """
-    m = np.asarray(m, dtype=float)
-    x_star = np.asarray(x_star, dtype=float)
-    if k_p + k_m != x_star.shape[1]:
-        raise ValueError(f"k_p + k_m = {k_p + k_m} but X* has {x_star.shape[1]} columns")
-    b = sym(x_star.T @ (m @ x_star))
+    m, spec = problem.pencil_m, problem.spec
+    if m is None:
+        raise ValueError("the problem has no pencil: eigenpairs come from trace minimization")
+    k_p, k_m, _ = spec.inertia_j
+    if not np.array_equal(spec.J, signature(k_p, k_m)):
+        raise ValueError(f"eigenpair extraction needs J = diag(I_{k_p}, -I_{k_m})")
+    x = np.asarray(x, dtype=float)
+    b = sym(x.T @ (m @ x))
     wp, qp = np.linalg.eigh(b[:k_p, :k_p])          # ascending
     wm, qm = np.linalg.eigh(b[k_p:, k_p:])          # ascending; block is -L-
     lam_plus = wp
@@ -143,7 +144,7 @@ def extract_eigenpairs(m: np.ndarray, spec: ManifoldSpec, x_star: np.ndarray, k_
     rot = np.zeros((k_p + k_m, k_p + k_m))
     rot[:k_p, :k_p] = qp
     rot[k_p:, k_p:] = qm
-    v = x_star @ rot
+    v = x @ rot
     d = np.concatenate([lam_plus, lam_minus])
     avd = spec.apply_a(v) * d
     resid = m @ v - avd
@@ -174,17 +175,7 @@ def lrevp_problem(k_mat: np.ndarray, m_mat: np.ndarray, k: int, metric: str = "h
     eye = np.eye(p)
     g[:p, p:] = eye
     g[p:, :p] = eye
-    spec = ManifoldSpec(g, np.eye(k))
-    met = _metric_for(metric, h)
-    hx = _LastProduct(h)
-
-    def f(x: np.ndarray) -> float:
-        return float(np.vdot(x, hx(x)))
-
-    def egrad(x: np.ndarray) -> np.ndarray:
-        return 2.0 * hx.take(x)
-
-    return Problem(spec=spec, metric=met, f=f, egrad=egrad, pencil_m=h)
+    return trace_min_problem(h, g, np.eye(k), metric)
 
 
 def lrevp_initial_guess(p: int, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -193,19 +184,20 @@ def lrevp_initial_guess(p: int, k: int, rng: np.random.Generator) -> np.ndarray:
     return np.vstack([v, v]) / np.sqrt(2.0)
 
 
-def procrustes_problem(g: np.ndarray, b: np.ndarray, j: np.ndarray, metric: str = "hessian") -> Problem:
-    """min ||G X - B||_F^2 over the J-orthogonal group iSt_{J,J}(n, n).
+def matrix_equation_problem(g: np.ndarray, b: np.ndarray, spec: ManifoldSpec, metric: str = "hessian") -> Problem:
+    """min ||G X - B||_F^2 on the caller's manifold ``spec`` = iSt_{A,J}.
 
-    G is l x n with full column rank, J an n x n signature matrix.  Metric
-    "hessian" takes M_X = G^T G (must be positive definite).
+    G is l x n with full column rank and B is l x k; metric "hessian" takes
+    M_X = G^T G.  When G X* = B for a feasible X*, the equation is consistent
+    and X* is the unique global minimizer, with objective zero.
     """
     g = np.asarray(g, dtype=float)
     b = np.asarray(b, dtype=float)
-    if g.shape != b.shape:
-        raise ValueError(f"G and B shapes differ: {g.shape} vs {b.shape}")
-    spec = ManifoldSpec(j, j)
-    gtg = sym(g.T @ g)
-    met = _metric_for(metric, gtg)
+    if g.ndim != 2 or g.shape[1] != spec.n:
+        raise ValueError(f"G is {g.shape}, the manifold's points have {spec.n} rows")
+    if b.shape != (g.shape[0], spec.k):
+        raise ValueError(f"B is {b.shape}, G X is {(g.shape[0], spec.k)}")
+    met = _metric_for(metric, sym(g.T @ g))
     gx = _LastProduct(g)
 
     def f(x: np.ndarray) -> float:
@@ -218,41 +210,13 @@ def procrustes_problem(g: np.ndarray, b: np.ndarray, j: np.ndarray, metric: str 
     return Problem(spec=spec, metric=met, f=f, egrad=egrad)
 
 
-def matrix_equation_problem(g: np.ndarray, b: np.ndarray, spec: ManifoldSpec, metric: str = "hessian") -> Problem:
-    """Solve G X = B as min ||G X - B||_F^2 on the caller's manifold ``spec``
-    (iSt_{A,I_k} in the experiments).  G symmetric positive definite; metric
-    "hessian" takes M_X = G^2.  When G^{-1} B is itself feasible the equation
-    is consistent and that point is the unique global minimizer (objective
-    zero); it is then recorded on the returned problem.
+def procrustes_problem(g: np.ndarray, b: np.ndarray, j: np.ndarray, metric: str = "hessian") -> Problem:
+    """min ||G X - B||_F^2 over the J-orthogonal group iSt_{J,J}(n, n).
+
+    G is l x n with full column rank, J an n x n signature matrix.  Metric
+    "hessian" takes M_X = G^T G.
     """
-    g = sym(np.asarray(g, dtype=float))
-    b = np.asarray(b, dtype=float)
-    if b.shape != (spec.n, spec.k):
-        raise ValueError(f"B is {b.shape}, the manifold's points are {(spec.n, spec.k)}")
-    met = _metric_for(metric, sym(g @ g))
-    gx = _LastProduct(g)
-
-    def f(x: np.ndarray) -> float:
-        r = gx(x) - b
-        return float(np.vdot(r, r))
-
-    def egrad(x: np.ndarray) -> np.ndarray:
-        return 2.0 * (g @ (gx.take(x) - b))
-
-    problem = Problem(spec=spec, metric=met, f=f, egrad=egrad)
-    x_exact = consistent_solution(g, b, spec)
-    if x_exact is not None:
-        problem.exact_minimizer = x_exact
-        problem.exact_obj = 0.0
-    return problem
-
-
-def consistent_solution(g: np.ndarray, b: np.ndarray, spec: ManifoldSpec, tol: float = 1e-6) -> np.ndarray | None:
-    """G^{-1} B when it lies on iSt_{A,I} (consistent instance), else None."""
-    x = scipy.linalg.cho_solve(scipy.linalg.cho_factor(g), b)
-    if feasibility(spec, x) <= tol * np.linalg.norm(spec.J):
-        return x
-    return None
+    return matrix_equation_problem(g, b, ManifoldSpec(j, j), metric)
 
 
 def pencil_oracle(m: np.ndarray, a: np.ndarray, k_p: int, k_m: int):

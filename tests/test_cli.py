@@ -201,6 +201,23 @@ def test_empty_manifold_rejected_with_named_inequality(tmp_path, capsys):
     assert not (tmp_path / "summary.json").exists()  # rejected before any work
 
 
+@pytest.mark.parametrize("metric", ["hessian", "euclidean"])
+def test_indefinite_stiffness_matrix_is_a_config_error(tmp_path, capsys, metric):
+    # the library rejects K; the CLI reports it as a bad input, not a crash
+    scipy.io.mmwrite(str(tmp_path / "K.mtx"), np.diag([1.0, -2.0, 3.0]))
+    scipy.io.mmwrite(str(tmp_path / "M.mtx"), np.eye(3))
+    out = tmp_path / "out"
+    code = main([
+        "run", "--problem", "lrevp", "--k", "1", "--metric", metric,
+        "--mtx-k", str(tmp_path / "K.mtx"), "--mtx-m", str(tmp_path / "M.mtx"),
+        "--max-iter", "50", "--out-dir", str(out),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "positive definite" in err
+    assert not out.exists()
+
+
 def test_unknown_problem_rejected(tmp_path, capsys):
     # flag and config file go through the same validation
     assert main(["run", "--problem", "maxcut", "--out-dir", str(tmp_path)]) == 1

@@ -23,7 +23,7 @@ from indefstiefel import (
 )
 from indefstiefel import problems
 from indefstiefel import test_matrix as gallery
-from indefstiefel.problems import consistent_solution
+from indefstiefel.linalg import random_rotation
 
 from conftest import block_diag_orthogonal, perturbed_point, random_indefinite, random_spd
 from theory import gradient_check
@@ -84,15 +84,21 @@ def test_trace_min_problem_cost_and_gradient():
     assert np.array_equal(problem.pencil_m, m)
 
 
-def test_trace_min_reuses_m_x_between_f_and_egrad(monkeypatch):
-    products = []
+@pytest.fixture
+def products(monkeypatch):
+    """One entry per product that the objectives' _LastProduct computes."""
+    calls = []
     original = problems._LastProduct._product
 
     def counted(self, x):
-        products.append(1)
+        calls.append(1)
         return original(self, x)
 
     monkeypatch.setattr(problems._LastProduct, "_product", counted)
+    return calls
+
+
+def test_trace_min_reuses_m_x_between_f_and_egrad(products):
     rng = np.random.default_rng(2)
     m = random_spd(rng, 6)
     problem = trace_min_problem(m, np.diag([1.0, 2.0, 3.0, -1.0, -2.0, -3.0]), signature(2, 1))
@@ -107,15 +113,7 @@ def test_trace_min_reuses_m_x_between_f_and_egrad(monkeypatch):
 
 
 @pytest.mark.parametrize("factory", ["procrustes", "matexeq"])
-def test_least_squares_reuse_g_x_between_f_and_egrad(monkeypatch, factory):
-    products = []
-    original = problems._LastProduct._product
-
-    def counted(self, x):
-        products.append(1)
-        return original(self, x)
-
-    monkeypatch.setattr(problems._LastProduct, "_product", counted)
+def test_least_squares_reuse_g_x_between_f_and_egrad(products, factory):
     rng = np.random.default_rng(3)
     n = 6
     if factory == "procrustes":
@@ -123,17 +121,15 @@ def test_least_squares_reuse_g_x_between_f_and_egrad(monkeypatch, factory):
         b = rng.standard_normal((n, n))
         problem = procrustes_problem(g, b, signature(4, 2))
         x = np.eye(n)
-        g_t = g.T
     else:
         g = random_spd(rng, n)
         spec = ManifoldSpec(np.diag([1.0, 2.0, 3.0, -1.0, -2.0, -3.0]), np.eye(2))
         b = rng.standard_normal((n, 2))
         problem = matrix_equation_problem(g, b, spec)
         x = make_point(spec)
-        g_t = g  # G is symmetric
     r = g @ x - b
     assert problem.f(x) == float(np.vdot(r, r))
-    assert np.array_equal(problem.egrad(x.copy()), 2.0 * (g_t @ r))
+    assert np.array_equal(problem.egrad(x.copy()), 2.0 * (g.T @ r))
     assert len(products) == 1
     # egrad forgets the product it took: none outlives the solve
     problem.egrad(x)
@@ -141,7 +137,7 @@ def test_least_squares_reuse_g_x_between_f_and_egrad(monkeypatch, factory):
     # an in-place edit is a new point, never a stale product
     problem.f(x)
     x[0, 0] += 1.0
-    assert np.array_equal(problem.egrad(x), 2.0 * (g_t @ (g @ x - b)))
+    assert np.array_equal(problem.egrad(x), 2.0 * (g.T @ (g @ x - b)))
     assert len(products) == 4
 
 
@@ -168,9 +164,9 @@ def test_extract_eigenpairs_at_oracle_minimizer():
     m = np.diag([2.0, 8.0, 18.0, 5.0, 20.0])
     a = np.diag([1.0, 2.0, 3.0, -1.0, -4.0])
     kp, km = 2, 1
-    spec = ManifoldSpec(a, signature(kp, km))
-    x_star = make_point(spec, pos_indices=[0, 1], neg_indices=[0])
-    result = extract_eigenpairs(m, spec, x_star, kp, km)
+    problem = trace_min_problem(m, a, signature(kp, km))
+    x_star = make_point(problem.spec, pos_indices=[0, 1], neg_indices=[0])
+    result = extract_eigenpairs(problem, x_star)
     assert np.allclose(result.lambda_plus, [2.0, 4.0], rtol=1e-10)
     assert np.allclose(result.lambda_minus, [-5.0], rtol=1e-10)
     assert result.rel_err <= 1e-10
@@ -178,6 +174,21 @@ def test_extract_eigenpairs_at_oracle_minimizer():
     # columns are genuine eigenvectors: M v = lambda A v
     lams = np.concatenate([result.lambda_plus, result.lambda_minus])
     assert np.allclose(m @ result.v, (a @ result.v) * lams, atol=1e-8)
+
+
+def test_extract_eigenpairs_rejects_rotated_j_and_least_squares():
+    # the block split reads J = diag(I_kp, -I_km); a rotated signature has the
+    # same inertia and the same minimum value, but mixes the blocks
+    m = np.diag([2.0, 8.0, 18.0, 5.0, 20.0])
+    a = np.diag([1.0, 2.0, 3.0, -1.0, -4.0])
+    q = random_rotation(3, np.random.default_rng(4))
+    problem = trace_min_problem(m, a, q @ signature(2, 1) @ q.T)
+    with pytest.raises(ValueError, match="diag"):
+        extract_eigenpairs(problem, make_point(problem.spec))
+    spec = ManifoldSpec(a, np.eye(2))
+    least_squares = matrix_equation_problem(m, m @ make_point(spec), spec)
+    with pytest.raises(ValueError, match="pencil"):
+        extract_eigenpairs(least_squares, make_point(spec))
 
 
 def test_solver_recovers_pencil_eigenvalues():
@@ -191,7 +202,7 @@ def test_solver_recovers_pencil_eigenvalues():
     lam_plus, lam_minus, f_star = pencil_oracle(m, a, kp, km)
     assert record.status == "converged"
     assert record.obj == pytest.approx(f_star, rel=1e-8)
-    result = extract_eigenpairs(m, problem.spec, record.x, kp, km)
+    result = extract_eigenpairs(problem, record.x)
     assert np.allclose(result.lambda_plus, lam_plus, rtol=1e-7)
     assert np.allclose(result.lambda_minus, lam_minus, rtol=1e-7)
 
@@ -218,11 +229,9 @@ def test_lrevp_diagonal_case_matches_structured_oracle():
     assert record.status == "converged"
     assert record.obj == pytest.approx(2.0, abs=1e-10)
     # cross-check via the dense pencil oracle on (H, G)
-    h = np.zeros((4, 4))
-    h[:2, :2], h[2:, 2:] = k_mat, m_mat
-    g = np.zeros((4, 4))
-    g[:2, 2:] = g[2:, :2] = np.eye(2)
-    assert np.array_equal(problem.pencil_m, h)
+    h = scipy.linalg.block_diag(k_mat, m_mat)
+    g = np.kron([[0.0, 1.0], [1.0, 0.0]], np.eye(2))
+    assert np.array_equal(problem.pencil_m, h) and np.array_equal(problem.spec.A, g)
     _, _, f_star = pencil_oracle(h, g, 1, 0)
     assert record.obj == pytest.approx(f_star, rel=1e-12)
 
@@ -237,6 +246,13 @@ def test_lrevp_random_case_recovers_frequencies():
     omegas = np.sort(np.sqrt(scipy.linalg.eigvals(k_mat @ m_mat).real))[:k]
     assert record.status == "converged"
     assert record.obj == pytest.approx(omegas.sum(), rel=1e-9)
+
+
+@pytest.mark.parametrize("metric", ["hessian", "euclidean"])
+def test_lrevp_rejects_indefinite_k(metric):
+    # an indefinite H = diag(K, M) makes the trace unbounded below
+    with pytest.raises(ValueError, match="positive definite"):
+        lrevp_problem(np.diag([1.0, -2.0, 3.0]), np.eye(3), 1, metric=metric)
 
 
 def test_lrevp_validates_shapes():
@@ -279,22 +295,7 @@ def test_procrustes_desk_replica_converges_to_consistent_fit():
 # ------------------------------------------------------------- matrix equation
 
 
-def test_consistent_solution_detection():
-    rng = np.random.default_rng(9)
-    n, k = 10, 3
-    a = random_indefinite(rng, n, 7)
-    g = random_spd(rng, n)
-    spec = ManifoldSpec(a, np.eye(k))
-    x_star = make_point(spec)
-
-    found = consistent_solution(g, g @ x_star, spec)
-    assert found is not None
-    assert np.allclose(found, x_star, atol=1e-8)
-
-    assert consistent_solution(g, g @ x_star + 0.3, spec) is None
-
-
-def test_matrix_equation_records_exact_answer():
+def test_matrix_equation_consistent_instance_has_zero_objective():
     rng = np.random.default_rng(10)
     n, k = 12, 3
     a = random_indefinite(rng, n, 8)
@@ -302,9 +303,31 @@ def test_matrix_equation_records_exact_answer():
     spec = ManifoldSpec(a, np.eye(k))
     x_star = make_point(spec)
     problem = matrix_equation_problem(g, g @ x_star, spec)
-    assert problem.exact_obj == 0.0
-    assert np.allclose(problem.exact_minimizer, x_star, atol=1e-8)
     assert problem.f(x_star) <= 1e-18
+    assert np.allclose(problem.egrad(x_star), 0.0, atol=1e-12)
+    assert matrix_equation_problem(g, g @ x_star + 0.3, spec).f(x_star) > 0.1
+
+
+def test_matrix_equation_recovers_with_tall_g():
+    # G is l x n with l > n: least squares on a consistent overdetermined system
+    rng = np.random.default_rng(9)
+    n, p, k, l = 12, 8, 3, 20
+    spec = ManifoldSpec(random_indefinite(rng, n, p), np.eye(k))
+    g = rng.standard_normal((l, n))
+    x_star = make_point(spec, pos_indices=np.arange(k))
+    problem = matrix_equation_problem(g, g @ x_star, spec)
+    x0 = make_point(spec, pos_indices=np.arange(p - k, p))
+    record = solve(problem, x0, SolverConfig(max_iter=2000))
+    assert record.status == "converged"
+    assert np.linalg.norm(record.x - x_star) <= 1e-6
+
+
+def test_matrix_equation_validates_shapes():
+    spec = ManifoldSpec(np.diag([1.0, 2.0, -1.0]), np.eye(1))
+    with pytest.raises(ValueError, match="rows"):
+        matrix_equation_problem(np.eye(4), np.ones((4, 1)), spec)
+    with pytest.raises(ValueError, match="G X"):
+        matrix_equation_problem(np.ones((5, 3)), np.ones((4, 1)), spec)
 
 
 def test_matrix_equation_recovery_over_seeds():

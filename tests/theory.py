@@ -22,6 +22,13 @@ def norm_a(spec: ManifoldSpec) -> float:
     return float(np.max(np.abs(np.linalg.eigvalsh(spec.A))))
 
 
+def solve_a(spec: ManifoldSpec, b: np.ndarray) -> np.ndarray:
+    """A^{-1} b: a division by a diagonal A, else an LU solve."""
+    if spec._a_diag is None:
+        return scipy.linalg.lu_solve(scipy.linalg.lu_factor(spec.A), b)
+    return np.asarray(b, dtype=float) / spec._column(b)
+
+
 def tangency_residual(spec: ManifoldSpec, x: np.ndarray, z: np.ndarray) -> float:
     """||Z^T A X + X^T A Z||_F, zero exactly when Z is tangent at X."""
     z = np.asarray(z, dtype=float)
@@ -40,7 +47,7 @@ def assemble_tangent(spec: ManifoldSpec, x: np.ndarray, s_skew: np.ndarray, k_fr
     z = x @ w
     if spec.n > spec.k:
         x_perp = scipy.linalg.null_space(x.T)
-        z = z + spec.solve_a(x_perp @ k_free)
+        z = z + solve_a(spec, x_perp @ k_free)
     return z
 
 
