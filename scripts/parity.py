@@ -7,8 +7,11 @@ The first form solves each start of each instance of a workload from
 ``perfbench/workloads.py`` (one BLAS thread, library from ``src/``) and
 writes, per solve: status, iterations, f-evaluations, the history without its
 ``time_s`` column, and the sha256 of the final X.  ``--limit N`` keeps the
-first N solves.  The second form exits 1 at the first difference between
-the solve lists of two such files, and 0 when they are equal.
+first N solves.  The second form exits 0 when the solve lists of two such
+files are bitwise equal.  Otherwise it names the first difference, reports
+for each file the sorted per-solve iterations and f-evaluations (median and
+range) and the largest final feasibility, then the largest relative gap
+|f_B - f_A| / |f_A| between the final objectives, and exits 1.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import statistics
 import sys
 from pathlib import Path
 
@@ -41,20 +45,54 @@ def fingerprints(workload_name: str, seed: int, limit: int | None) -> list[dict]
     return out
 
 
-def compare(path_a: str, path_b: str) -> int:
-    a, b = (json.loads(Path(p).read_text()) for p in (path_a, path_b))
-    print(f"{path_a}: {a['workload']} seed {a['seed']}; {path_b}: {b['workload']} seed {b['seed']}")
-    if len(a["solves"]) != len(b["solves"]):
-        print(f"solve counts differ: {len(a['solves'])} vs {len(b['solves'])}")
-        return 1
-    for i, (sa, sb) in enumerate(zip(a["solves"], b["solves"])):
+def first_difference(a: list[dict], b: list[dict]) -> str | None:
+    if len(a) != len(b):
+        return f"solve counts differ: {len(a)} vs {len(b)}"
+    for i, (sa, sb) in enumerate(zip(a, b)):
         for key in sa:
             # compared as JSON text, so NaN equals NaN and -0.0 differs from 0.0
             if json.dumps(sa[key]) != json.dumps(sb[key]):
-                print(f"solve {i}: {key} differs")
-                return 1
-    print(f"{len(a['solves'])} solves bitwise equal")
-    return 0
+                return f"solve {i}: {key} differs"
+    return None
+
+
+def spread(values: list) -> str:
+    values = sorted(values)
+    return f"{values} median {statistics.median(values):g} range {values[0]}-{values[-1]}"
+
+
+def distribution(path: str, solves: list[dict]) -> None:
+    """Per-solve counts and the worst final feasibility of one file."""
+    feas = max(s["history"][-1][4] for s in solves)
+    print(f"{path}: iters {spread([s['iters'] for s in solves])}")
+    print(f"{path}: fevals {spread([s['fevals'] for s in solves])}")
+    print(f"{path}: largest final feasibility {feas:.3e}")
+
+
+def objective_gap(a: list[dict], b: list[dict]) -> float:
+    """Largest |f_B - f_A| / |f_A| over paired solves' final objectives."""
+    gaps = []
+    for sa, sb in zip(a, b):
+        fa, fb = sa["history"][-1][1], sb["history"][-1][1]
+        if fa:
+            gaps.append(abs(fb - fa) / abs(fa))
+        else:
+            gaps.append(0.0 if fb == fa else float("inf"))
+    return max(gaps, default=0.0)
+
+
+def compare(path_a: str, path_b: str) -> int:
+    a, b = (json.loads(Path(p).read_text()) for p in (path_a, path_b))
+    print(f"{path_a}: {a['workload']} seed {a['seed']}; {path_b}: {b['workload']} seed {b['seed']}")
+    difference = first_difference(a["solves"], b["solves"])
+    if difference is None:
+        print(f"{len(a['solves'])} solves bitwise equal")
+        return 0
+    print(difference)
+    distribution(path_a, a["solves"])
+    distribution(path_b, b["solves"])
+    print(f"largest |f_B - f_A| / |f_A| over final objectives: {objective_gap(a['solves'], b['solves']):.3e}")
+    return 1
 
 
 def main(argv=None) -> int:

@@ -2,11 +2,12 @@
 iSt_{A,J}(k, n) = {X : X^T A X = J}, with A symmetric nonsingular (possibly
 indefinite) and J a symmetric involution.
 
-Library layout: ``linalg`` (dense symmetric kernels and test matrices),
-``manifold`` (geometry under tractable metrics), ``retraction`` (Cayley
-transform through a 2k x 2k or an n x n solve, picked by shape),
-``optimizer`` (BB + nonmonotone gradient descent), ``problems`` (benchmark
-objectives and a dense pencil oracle), ``cli`` (experiment runner).
+Library layout: ``linalg`` (symmetric kernels, the banded-or-dense
+operator that holds M and A, and test matrices), ``manifold`` (geometry
+under tractable metrics), ``retraction`` (Cayley transform through a
+2k x 2k or an n x n solve, picked by shape), ``optimizer`` (BB +
+nonmonotone gradient descent), ``problems`` (benchmark objectives and a
+dense pencil oracle), ``cli`` (experiment runner).
 The package root names what a user calls; the kernels under it stay
 importable from their submodules.
 """

@@ -1,17 +1,20 @@
-"""Dense symmetric linear algebra kernels.
+"""Symmetric linear algebra kernels.
 
 Everything here operates on plain float64 ndarrays.  Symmetric matrices are
 stored fully (both triangles); generators return exactly symmetric arrays,
-i.e. ``S[i, j] == S[j, i]`` bitwise.
+i.e. ``S[i, j] == S[j, i]`` bitwise.  :class:`SymOperator` applies and
+factors such a matrix in the form its bandwidth makes cheaper.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.io
+import scipy.linalg
 import scipy.sparse
 from scipy.linalg import get_lapack_funcs
 
@@ -38,6 +41,77 @@ def skew(omega: np.ndarray) -> np.ndarray:
     if omega.ndim != 2 or omega.shape[0] != omega.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {omega.shape}")
     return 0.5 * (omega - omega.T)
+
+
+def bandwidth(s: np.ndarray) -> int:
+    """Bandwidth of a symmetric matrix: the largest i - j with S[i, j] != 0.
+
+    The corner entry S[n-1, 0] settles a dense matrix at once; otherwise one
+    vectorized pass finds the first nonzero of each row.  An all-zero row
+    counts as full width, which only overstates the band.
+    """
+    n = s.shape[0]
+    if n < 2 or s[n - 1, 0] != 0:
+        return max(n - 1, 0)
+    first = np.argmax(s != 0, axis=1)
+    return int(np.max(np.arange(n) - first))
+
+
+def _banded(n: int, b: int) -> bool:
+    """Whether the banded form is the cheaper one at order n and bandwidth b.
+
+    With one OpenBLAS 0.3.31 thread on a 2-core x86-64 VM, a product with
+    n x k plus a solve with n x 2k costs the same in both forms near b = 1 (n = 100), 4 (n = 200), 14 (n = 400),
+    50 (n = 1000) and 130 (n = 2000): the per-diagonal loop sets the
+    crossover at small n.  The rule sits below it at every measured size,
+    and always takes a diagonal matrix as banded."""
+    return 64 * b <= n
+
+
+class SymOperator:
+    """A symmetric matrix S, applied and factored in one of two forms chosen
+    from its order n and bandwidth b alone.
+
+    The banded form keeps the 2b + 1 diagonals in LAPACK's upper band
+    storage: ``S @ x`` loops over the diagonals and the Cholesky factor is
+    banded.  The dense form keeps the array: ``S @ x`` is BLAS and the
+    Cholesky factor is n x n.  ``dense`` is the array either way, and
+    ``banded`` tells the form.
+    """
+
+    def __init__(self, s: np.ndarray):
+        self.dense = s
+        self.bandwidth = b = bandwidth(s)
+        self.banded = _banded(s.shape[0], b)
+        if self.banded:
+            # row b - d holds diagonal d, shifted right by d
+            self._ab = np.zeros((b + 1, s.shape[0]))
+            for d in range(b + 1):
+                self._ab[b - d, d:] = np.diagonal(s, d)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """S x.  The banded form returns a C-ordered array with +0 where the
+        dense product has +0; with b = 0 it equals ``dense @ x`` bit for bit."""
+        if not self.banded:
+            return self.dense @ x
+        b = self.bandwidth
+        ab = self._ab if np.ndim(x) == 1 else self._ab[:, :, None]
+        out = np.multiply(ab[b], x, order="C")
+        for d in range(1, b + 1):
+            out[:-d] += ab[b - d, d:] * x[d:]
+            out[d:] += ab[b - d, d:] * x[:-d]
+        out += 0.0  # -0 becomes +0
+        return out
+
+    def cho_solver(self) -> Callable[[np.ndarray], np.ndarray]:
+        """y -> S^{-1} y through a Cholesky factor of S, computed here once;
+        raises numpy.linalg.LinAlgError unless S is positive definite."""
+        # the factorization checked S once; skip the recheck per solve
+        if not self.banded:
+            return partial(scipy.linalg.cho_solve, scipy.linalg.cho_factor(self.dense),
+                           check_finite=False)
+        factor = (scipy.linalg.cholesky_banded(self._ab), False)
+        return partial(scipy.linalg.cho_solve_banded, factor, check_finite=False)
 
 
 def sign_counts(w: np.ndarray, tol: float = 1e-12) -> Inertia:

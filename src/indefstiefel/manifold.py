@@ -16,15 +16,16 @@ S = X^T A M_X^{-1} A X.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
-from .linalg import sign_counts, solve_lyapunov, sym
+from .linalg import SymOperator, sign_counts, solve_lyapunov, sym
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)
+def _readonly_sym(a: np.ndarray) -> np.ndarray:
+    """sym(a) as a new read-only array."""
+    a = sym(a)
     a.setflags(write=False)
     return a
 
@@ -34,9 +35,9 @@ class ManifoldSpec:
 
     Construction symmetrizes the inputs, checks J^2 = I_k, checks that A is
     nonsingular, and checks the nonemptiness inequalities
-    i_+(J) <= i_+(A), i_-(J) <= i_-(A).  A diagonal A is detected once and
-    held as its diagonal vector, so :meth:`apply_a` is a row scaling; any
-    other A is applied as the dense ``A`` attribute.
+    i_+(J) <= i_+(A), i_-(J) <= i_-(A).  ``A`` is the dense array; A is
+    applied through a :class:`SymOperator`, banded or dense by its bandwidth,
+    so a diagonal A (bandwidth 0) is a row scaling.
     """
 
     def __init__(self, a: np.ndarray, j: np.ndarray):
@@ -50,15 +51,14 @@ class ManifoldSpec:
         self.k = j.shape[0]
         if self.k > self.n:
             raise ValueError(f"J order {self.k} exceeds A order {self.n}")
-        self.A = _readonly(sym(a))
-        self.J = _readonly(sym(j))
+        self.A = _readonly_sym(a)
+        self.J = _readonly_sym(j)
         jj_err = np.linalg.norm(self.J @ self.J - np.eye(self.k))
         if jj_err > 1e-12 * self.k:
             raise ValueError(f"J^2 != I_k (||J^2 - I||_F = {jj_err:.3e})")
 
-        # the diagonal of a diagonal A, else None
-        self._a_diag = np.diag(self.A) if self._is_diagonal(self.A) else None
-        a_eigvals = self._a_diag if self._a_diag is not None else np.linalg.eigvalsh(self.A)
+        self._a = SymOperator(self.A)
+        a_eigvals = np.diag(self.A) if self._a.bandwidth == 0 else np.linalg.eigvalsh(self.A)
         self.inertia_a = sign_counts(a_eigvals)
         if self.inertia_a.n_zero > 0:
             raise ValueError("A is singular (zero eigenvalue within tolerance)")
@@ -76,44 +76,33 @@ class ManifoldSpec:
                 f"i-(A) = {self.inertia_a.n_neg}"
             )
 
-    @staticmethod
-    def _is_diagonal(a: np.ndarray) -> bool:
-        # every nonzero entry lies on the diagonal
-        return np.count_nonzero(a) == np.count_nonzero(np.diag(a))
-
-    def _column(self, x: np.ndarray) -> np.ndarray:
-        """The diagonal of A shaped to scale the rows of x."""
-        return self._a_diag if np.ndim(x) == 1 else self._a_diag[:, None]
-
     def apply_a(self, x: np.ndarray) -> np.ndarray:
-        """A x, as a C-ordered array equal bit for bit to ``A @ x``.
+        """A x, equal bit for bit to ``A @ x`` for a diagonal or a dense A.
 
         A diagonal A scales rows.  The result is C-ordered whatever the
         order of x, and -0 entries become +0 as in the dense product: later
         products pick their BLAS kernel by memory order, and LAPACK's eigh
         picks Householder signs by the sign of zero, so either difference
-        would change the iterates.
+        would change the iterates.  A wider banded A sums its diagonals,
+        which matches the dense product to roundoff only.
         """
-        if self._a_diag is None:
-            return self.A @ x
-        out = np.multiply(self._column(x), x, order="C")
-        out += 0.0
-        return out
+        return self._a @ x
 
 
 @dataclass(frozen=True)
 class MetricSpec:
     """A tractable metric g_X(Z1, Z2) = tr(Z1^T M_X Z2).
 
-    kind "euclidean": M_X = I.  kind "weighted": M_X = M constant, with a
-    Cholesky factorization cached for applying M^{-1}.  The solver calls
-    only :meth:`apply` and :meth:`apply_inverse`, so any object with those
-    two methods can stand in for an X-dependent metric.
+    kind "euclidean": M_X = I.  kind "weighted": M_X = M constant, held as a
+    :class:`SymOperator` (banded or dense by its bandwidth) with a Cholesky
+    factorization cached for applying M^{-1}.  The solver calls only
+    :meth:`apply` and :meth:`apply_inverse`, so any object with those two
+    methods can stand in for an X-dependent metric.
     """
 
     kind: str
-    matrix: np.ndarray | None = None
-    _chol: tuple | None = field(default=None, repr=False, compare=False)
+    matrix: SymOperator | None = None
+    _solve: Callable | None = field(default=None, repr=False, compare=False)
 
     @staticmethod
     def euclidean() -> "MetricSpec":
@@ -121,12 +110,16 @@ class MetricSpec:
 
     @staticmethod
     def weighted(m: np.ndarray) -> "MetricSpec":
-        m = sym(np.asarray(m, dtype=float))
+        return MetricSpec.of_operator(SymOperator(sym(m)))
+
+    @staticmethod
+    def of_operator(m: SymOperator) -> "MetricSpec":
+        """The weighted metric of an M already held as an operator."""
         try:
-            chol = scipy.linalg.cho_factor(m)
+            solve = m.cho_solver()
         except np.linalg.LinAlgError as exc:
             raise ValueError("metric matrix is not positive definite") from exc
-        return MetricSpec(kind="weighted", matrix=m, _chol=chol)
+        return MetricSpec(kind="weighted", matrix=m, _solve=solve)
 
     def apply(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """M_X y at base point x."""
@@ -138,8 +131,7 @@ class MetricSpec:
         """M_X^{-1} y at base point x."""
         if self.kind == "euclidean":
             return np.asarray(y, dtype=float)
-        # cho_factor checked the factor once; skip the O(n^2) recheck per solve
-        return scipy.linalg.cho_solve(self._chol, y, check_finite=False)
+        return self._solve(y)
 
 
 def feasibility(spec: ManifoldSpec, x: np.ndarray) -> float:
@@ -169,13 +161,15 @@ def make_point(
 def _points(spec: ManifoldSpec, *selections) -> list[np.ndarray]:
     """make_point for each (pos_indices, neg_indices) pair, all from one
     eigendecomposition of A (n x n for a dense A)."""
-    if spec._a_diag is None:
+    diagonal = spec._a.bandwidth == 0
+    if not diagonal:
         w, v = np.linalg.eigh(spec.A)
     else:
         # A's eigenvectors are unit vectors e_i: keep their indices i, and
         # build only the columns picked below
-        rows = np.argsort(spec._a_diag, kind="stable")
-        w = spec._a_diag[rows]
+        a_diag = np.diag(spec.A)
+        rows = np.argsort(a_diag, kind="stable")
+        w = a_diag[rows]
     kp, km = spec.inertia_j.n_pos, spec.inertia_j.n_neg
     pos = np.flatnonzero(w > 0)
     neg = np.flatnonzero(w < 0)
@@ -199,7 +193,7 @@ def _points(spec: ManifoldSpec, *selections) -> list[np.ndarray]:
         cols = np.concatenate([pos[pos_indices], neg[neg_indices]])
         if len(set(cols.tolist())) != len(cols):
             raise ValueError("duplicate eigendirection selected")
-        if spec._a_diag is None:
+        if not diagonal:
             frame = v[:, cols]
         else:
             # the layout and +0 entries of np.eye(n)[:, rows][:, cols], so that

@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 import scipy.linalg
 
-from .linalg import signature, sym
+from .linalg import SymOperator, signature, sym
 from .manifold import ManifoldSpec, MetricSpec
 
 
@@ -59,7 +59,8 @@ class PencilEigResult:
 
 
 class _LastProduct:
-    """x -> m @ x, handing the product at f's point on to egrad.
+    """x -> m @ x, handing the product at f's point on to egrad.  m is an
+    array or a :class:`SymOperator`.
 
     The solver evaluates f at the accepted trial point and then egrad at the
     same point; both need M X (G X for least squares).  f's call remembers
@@ -69,7 +70,7 @@ class _LastProduct:
     O(n^2 k) product), so an in-place edit of x never gives a stale product.
     """
 
-    def __init__(self, m: np.ndarray):
+    def __init__(self, m: np.ndarray | SymOperator):
         self.m = m
         self._x: np.ndarray | None = None
         self._mx: np.ndarray | None = None
@@ -89,13 +90,13 @@ class _LastProduct:
         return mx
 
 
-def _metric_for(choice: str, hessian: np.ndarray) -> MetricSpec:
+def _metric_for(choice: str, hessian: SymOperator) -> MetricSpec:
     """The metric for ``choice``: "hessian" takes M_X = half the objective's
     constant Hessian, "euclidean" M_X = I.  Either way that Hessian must be
     positive definite, so the objective is strictly convex."""
     if choice not in ("euclidean", "hessian"):
         raise ValueError(f"unknown metric choice {choice!r}")
-    weighted = MetricSpec.weighted(hessian)
+    weighted = MetricSpec.of_operator(hessian)
     return weighted if choice == "hessian" else MetricSpec.euclidean()
 
 
@@ -103,12 +104,14 @@ def trace_min_problem(m: np.ndarray, a: np.ndarray, j: np.ndarray, metric: str =
     """min tr(X^T M X) on iSt_{A,J}; metric "hessian" takes M_X = M.
 
     M must be symmetric positive definite (it is the constant objective
-    Hessian, and the preferred metric).
+    Hessian, and the preferred metric).  The objective and the metric share
+    one operator for M, banded or dense by its bandwidth.
     """
-    m = sym(np.asarray(m, dtype=float))
+    m = sym(m)
     spec = ManifoldSpec(a, j)
-    met = _metric_for(metric, m)
-    mx = _LastProduct(m)
+    m_op = SymOperator(m)
+    met = _metric_for(metric, m_op)
+    mx = _LastProduct(m_op)
 
     def f(x: np.ndarray) -> float:
         return float(np.vdot(x, mx(x)))
@@ -197,7 +200,7 @@ def matrix_equation_problem(g: np.ndarray, b: np.ndarray, spec: ManifoldSpec, me
         raise ValueError(f"G is {g.shape}, the manifold's points have {spec.n} rows")
     if b.shape != (g.shape[0], spec.k):
         raise ValueError(f"B is {b.shape}, G X is {(g.shape[0], spec.k)}")
-    met = _metric_for(metric, sym(g.T @ g))
+    met = _metric_for(metric, SymOperator(sym(g.T @ g)))
     gx = _LastProduct(g)
 
     def f(x: np.ndarray) -> float:

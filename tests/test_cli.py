@@ -411,8 +411,18 @@ def test_parity_script_compares_runs(tmp_path):
     data = json.loads(paths[1].read_text())
     (solve,) = data["solves"]
     assert solve["status"] == "converged" and len(solve["history"]) == solve["iters"] + 1
-    solve["history"][-1][1] = np.nextafter(solve["history"][-1][1], np.inf)
+    f_a = solve["history"][-1][1]
+    f_b = solve["history"][-1][1] = np.nextafter(f_a, np.inf)
     paths[1].write_text(json.dumps(data))
     done = parity("--compare", *paths)
     assert done.returncode == 1
     assert "solve 0: history differs" in done.stdout
+    # a change that is not bitwise gets its distribution reported
+    iters, fevals = solve["iters"], solve["fevals"]
+    for path in paths:
+        assert f"{path}: iters [{iters}] median {iters} range {iters}-{iters}" in done.stdout
+        assert f"{path}: fevals [{fevals}] median {fevals} range {fevals}-{fevals}" in done.stdout
+        assert f"{path}: largest final feasibility {solve['history'][-1][4]:.3e}" in done.stdout
+    gap = abs(f_b - f_a) / abs(f_a)
+    assert gap > 0
+    assert f"over final objectives: {gap:.3e}" in done.stdout

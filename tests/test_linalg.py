@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import scipy.io
+import scipy.linalg
 import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,8 @@ from indefstiefel import read_mtx, signature
 from indefstiefel import test_matrix as gallery
 from indefstiefel.linalg import (
     Inertia,
+    SymOperator,
+    bandwidth,
     checked_solve,
     random_rotation,
     sign_counts,
@@ -154,6 +157,73 @@ def test_generator_validation():
         gallery("moler", 4)  # param required
     with pytest.raises(ValueError):
         gallery("lehmer", 0)
+
+
+def banded_spd(rng: np.random.Generator, n: int, b: int) -> np.ndarray:
+    """Symmetric, diagonally dominant (so positive definite), bandwidth b."""
+    s = np.diag(rng.uniform(1.0, 2.0, n) + 2.0 * b)
+    for d in range(1, b + 1):
+        v = rng.uniform(-1.0, 1.0, n - d)
+        s += np.diag(v, d) + np.diag(v, -d)
+    return s
+
+
+def _rel(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.linalg.norm(a - b) / np.linalg.norm(b))
+
+
+def test_bandwidth_detection():
+    rng = np.random.default_rng(6)
+    assert bandwidth(gallery("tridiag", 50)) == 1
+    assert bandwidth(np.diag(rng.uniform(1.0, 2.0, 30))) == 0
+    assert bandwidth(gallery("lehmer", 30)) == 29
+    assert bandwidth(np.ones((1, 1))) == 0
+    # a zero diagonal inside the band does not end it
+    s = banded_spd(rng, 40, 3)
+    s -= np.diag(np.diag(s, 2), 2) + np.diag(np.diag(s, -2), -2)
+    assert bandwidth(s) == 3
+    # only the corner is zero: the next diagonal out sets the width
+    lehmer = gallery("lehmer", 30)
+    lehmer[0, -1] = lehmer[-1, 0] = 0.0
+    assert bandwidth(lehmer) == 28
+
+
+@pytest.mark.parametrize("n, b", [(40, 0), (100, 1), (150, 2), (192, 3)])
+def test_banded_operator_matches_dense_product_and_solve(n, b):
+    # (192, 3) is the widest band the form rule keeps banded at that order
+    rng = np.random.default_rng(7 + b)
+    s = banded_spd(rng, n, b)
+    op = SymOperator(s)
+    assert op.banded and op.bandwidth == b
+    solve = op.cho_solver()
+    chol = scipy.linalg.cho_factor(s)
+    x = rng.standard_normal((n, 4))
+    for xin in (x, np.asfortranarray(x), x[:, 0], x[:, 1:3]):
+        out = op @ xin
+        assert out.flags.c_contiguous
+        assert _rel(out, s @ xin) <= 1e-13
+        assert _rel(solve(xin), scipy.linalg.cho_solve(chol, xin)) <= 1e-13
+
+
+def test_operator_form_follows_order_and_bandwidth():
+    rng = np.random.default_rng(8)
+    g = rng.standard_normal((200, 200))
+    cases = [
+        (gallery("lehmer", 200), 199, False),
+        (sym(g.T @ g), 199, False),
+        (gallery("tridiag", 2000), 1, True),
+        (banded_spd(rng, 192, 3), 3, True),     # 64 b = n: the rule's edge
+        (banded_spd(rng, 191, 3), 3, False),
+        (banded_spd(rng, 128, 2), 2, True),
+        (banded_spd(rng, 127, 2), 2, False),
+        (np.diag(rng.uniform(1.0, 2.0, 3)), 0, True),
+    ]
+    for s, b, banded in cases:
+        op = SymOperator(s)
+        assert (op.bandwidth, op.banded) == (b, banded), s.shape
+        x = rng.standard_normal((s.shape[0], 3))
+        if not banded:
+            assert np.array_equal(op @ x, s @ x)
 
 
 def test_checked_solve_matches_dense():

@@ -19,7 +19,7 @@ from indefstiefel import (
     solve,
     trace_min_problem,
 )
-from indefstiefel import optimizer, retraction
+from indefstiefel import linalg, optimizer, retraction
 from indefstiefel import test_matrix as gallery
 from indefstiefel.manifold import metric_norm, riemannian_gradient
 from indefstiefel.optimizer import HISTORY_COLUMNS, bb_trial_step
@@ -332,6 +332,31 @@ def test_diagonal_a_operator_keeps_iterates_bitwise(monkeypatch, form):
     assert (fast.n_iter, fast.n_feval) == (dense.n_iter, dense.n_feval)
     assert np.array_equal(fast.x, dense.x)
     assert np.array_equal(fast.history()[:, 1], dense.history()[:, 1])
+
+
+def test_banded_m_keeps_dense_iterates_and_reaches_oracle(monkeypatch):
+    # a tridiagonal M of order 400 is applied and factored banded; the dense
+    # form reached through the rule is the reference it must track
+    n = 400
+    m = gallery("tridiag", n)
+    a = np.diag(np.concatenate([np.arange(1.0, 201.0), -np.arange(1.0, 201.0)]))
+    j = signature(3, 2)
+    banded = trace_min_problem(m, a, j, metric="hessian")
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "_banded", lambda n, b: False)
+        dense = trace_min_problem(m, a, j, metric="hessian")
+    assert banded.metric.matrix.banded and not dense.metric.matrix.banded
+    x0 = make_point(banded.spec)
+    assert np.array_equal(x0, make_point(dense.spec))
+    for iters in (1, 2):
+        config = SolverConfig(max_iter=iters)
+        fast, ref = solve(banded, x0, config), solve(dense, x0, config)
+        assert fast.n_iter == ref.n_iter == iters
+        assert np.linalg.norm(fast.x - ref.x) <= 1e-10 * np.linalg.norm(ref.x)
+    record = solve(banded, x0, SolverConfig(rstop=1e-9))
+    _, _, f_star = pencil_oracle(m, a, 3, 2)
+    assert record.status == "converged" and record.feas <= 1e-12
+    assert abs(record.obj - f_star) <= 1e-6 * abs(f_star)
 
 
 @pytest.mark.parametrize("case", ["lehmer", "dense_a"])

@@ -8,6 +8,7 @@ import scipy.linalg
 
 from indefstiefel import (
     ManifoldSpec,
+    MetricSpec,
     SolverConfig,
     extract_eigenpairs,
     feasibility,
@@ -23,7 +24,7 @@ from indefstiefel import (
 )
 from indefstiefel import problems
 from indefstiefel import test_matrix as gallery
-from indefstiefel.linalg import random_rotation
+from indefstiefel.linalg import SymOperator, random_rotation
 
 from conftest import block_diag_orthogonal, perturbed_point, random_indefinite, random_spd
 from theory import gradient_check
@@ -112,8 +113,9 @@ def test_trace_min_reuses_m_x_between_f_and_egrad(products):
     assert len(products) == 2
 
 
-@pytest.mark.parametrize("factory", ["procrustes", "matexeq"])
+@pytest.mark.parametrize("factory", ["procrustes", "matexeq", "matexeq_tall"])
 def test_least_squares_reuse_g_x_between_f_and_egrad(products, factory):
+    # the symmetric G of "matexeq" cannot tell G^T r from G r; the 8 x 6 G can
     rng = np.random.default_rng(3)
     n = 6
     if factory == "procrustes":
@@ -122,9 +124,9 @@ def test_least_squares_reuse_g_x_between_f_and_egrad(products, factory):
         problem = procrustes_problem(g, b, signature(4, 2))
         x = np.eye(n)
     else:
-        g = random_spd(rng, n)
+        g = random_spd(rng, n) if factory == "matexeq" else rng.standard_normal((8, n))
         spec = ManifoldSpec(np.diag([1.0, 2.0, 3.0, -1.0, -2.0, -3.0]), np.eye(2))
-        b = rng.standard_normal((n, 2))
+        b = rng.standard_normal((g.shape[0], 2))
         problem = matrix_equation_problem(g, b, spec)
         x = make_point(spec)
     r = g @ x - b
@@ -146,6 +148,20 @@ def test_trace_min_hessian_metric_requires_spd():
     indefinite = np.diag([1.0, -2.0])
     with pytest.raises(ValueError):
         trace_min_problem(indefinite, a, np.array([[1.0]]), metric="hessian")
+
+
+@pytest.mark.parametrize("metric", ["hessian", "euclidean"])
+def test_trace_min_rejects_indefinite_banded_m(metric):
+    # a tridiagonal M of order 200 is held banded, so the banded Cholesky
+    # is the one that must refuse it
+    n = 200
+    m = gallery("tridiag", n) - np.eye(n)
+    assert SymOperator(m).banded
+    a = np.diag(np.concatenate([np.arange(1.0, 101.0), -np.arange(1.0, 101.0)]))
+    with pytest.raises(ValueError, match="not positive definite"):
+        trace_min_problem(m, a, signature(2, 1), metric=metric)
+    with pytest.raises(ValueError, match="not positive definite"):
+        MetricSpec.weighted(m)
 
 
 def test_trace_min_objective_bounded_by_oracle():

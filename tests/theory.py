@@ -24,9 +24,11 @@ def norm_a(spec: ManifoldSpec) -> float:
 
 def solve_a(spec: ManifoldSpec, b: np.ndarray) -> np.ndarray:
     """A^{-1} b: a division by a diagonal A, else an LU solve."""
-    if spec._a_diag is None:
+    b = np.asarray(b, dtype=float)
+    if spec._a.bandwidth:
         return scipy.linalg.lu_solve(scipy.linalg.lu_factor(spec.A), b)
-    return np.asarray(b, dtype=float) / spec._column(b)
+    d = np.diag(spec.A)
+    return b / (d if b.ndim == 1 else d[:, None])
 
 
 def tangency_residual(spec: ManifoldSpec, x: np.ndarray, z: np.ndarray) -> float:
