@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import SymOperator, sign_counts, solve_lyapunov, sym
+from .linalg import SymOperator, bandwidth, sign_counts, solve_lyapunov, sym
 
 
 def _readonly_sym(a: np.ndarray) -> np.ndarray:
@@ -30,6 +30,11 @@ def _readonly_sym(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _eigvals(s: np.ndarray, b: int) -> np.ndarray:
+    """Eigenvalues of the symmetric s of bandwidth b: its diagonal when b = 0."""
+    return np.diag(s) if b == 0 else np.linalg.eigvalsh(s)
+
+
 class ManifoldSpec:
     """Validated pair (A, J) defining iSt_{A,J}(k, n).
 
@@ -37,10 +42,13 @@ class ManifoldSpec:
     nonsingular, and checks the nonemptiness inequalities
     i_+(J) <= i_+(A), i_-(J) <= i_-(A).  ``A`` is the dense array; A is
     applied through a :class:`SymOperator`, banded or dense by its bandwidth,
-    so a diagonal A (bandwidth 0) is a row scaling.
+    so a diagonal A (bandwidth 0) is a row scaling.  A diagonal A or J gives
+    its inertia from its diagonal, and ``ManifoldSpec(j, j)`` (the
+    J-orthogonal group) keeps one array for both.
     """
 
     def __init__(self, a: np.ndarray, j: np.ndarray):
+        same = a is j
         a = np.asarray(a, dtype=float)
         j = np.asarray(j, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -52,17 +60,16 @@ class ManifoldSpec:
         if self.k > self.n:
             raise ValueError(f"J order {self.k} exceeds A order {self.n}")
         self.A = _readonly_sym(a)
-        self.J = _readonly_sym(j)
+        self.J = self.A if same else _readonly_sym(j)
         jj_err = np.linalg.norm(self.J @ self.J - np.eye(self.k))
         if jj_err > 1e-12 * self.k:
             raise ValueError(f"J^2 != I_k (||J^2 - I||_F = {jj_err:.3e})")
 
         self._a = SymOperator(self.A)
-        a_eigvals = np.diag(self.A) if self._a.bandwidth == 0 else np.linalg.eigvalsh(self.A)
-        self.inertia_a = sign_counts(a_eigvals)
+        self.inertia_a = sign_counts(_eigvals(self.A, self._a.bandwidth))
         if self.inertia_a.n_zero > 0:
             raise ValueError("A is singular (zero eigenvalue within tolerance)")
-        self.inertia_j = sign_counts(np.linalg.eigvalsh(self.J))
+        self.inertia_j = sign_counts(_eigvals(self.J, bandwidth(self.J)))
         if self.inertia_j.n_zero > 0:
             raise ValueError("J is singular, cannot satisfy J^2 = I")
         if self.inertia_j.n_pos > self.inertia_a.n_pos:
@@ -224,15 +231,13 @@ def _project(ax: np.ndarray, mi_ax: np.ndarray, y: np.ndarray) -> np.ndarray:
     return y - mi_ax @ u
 
 
-def riemannian_gradient(spec: ManifoldSpec, metric: MetricSpec, x: np.ndarray, egrad: np.ndarray) -> np.ndarray:
-    """Riemannian gradient from the Euclidean gradient of f at x.
+def riemannian_gradient(spec: ManifoldSpec, metric: MetricSpec, x: np.ndarray, metric_grad: np.ndarray) -> np.ndarray:
+    """Riemannian gradient of f at x from metric_grad = M_X^{-1} egrad.
 
     grad f(X) = M_X^{-1} egrad - M_X^{-1} A X U with S U + U S =
-    2 sym(X^T A M_X^{-1} egrad); equals the tangent projection of
-    M_X^{-1} egrad.  M_X^{-1} is applied to [AX, egrad] in one solve.
+    2 sym(X^T A M_X^{-1} egrad), the tangent projection of metric_grad
+    (``Problem.metric_grad``, in closed form for the factories' metrics).
+    M_X^{-1} is applied to A X alone.
     """
-    egrad = np.asarray(egrad, dtype=float)
     ax = spec.apply_a(x)
-    k = ax.shape[1]
-    mi = metric.apply_inverse(x, np.hstack([ax, egrad]))
-    return _project(ax, mi[:, :k], mi[:, k:])
+    return _project(ax, metric.apply_inverse(x, ax), np.asarray(metric_grad, dtype=float))

@@ -176,7 +176,7 @@ def solve(problem, x0: np.ndarray, config: SolverConfig | None = None) -> RunRec
     f0 = problem.f(x0)
     if not np.isfinite(f0):
         raise ValueError(f"objective is not finite at the starting point ({f0})")
-    grad = riemannian_gradient(spec, metric, x0, problem.egrad(x0))
+    grad = riemannian_gradient(spec, metric, x0, problem.metric_grad(x0))
     gn0 = metric_norm(metric, x0, grad)
 
     state = SolverState(
@@ -214,7 +214,7 @@ def solve(problem, x0: np.ndarray, config: SolverConfig | None = None) -> RunRec
         state.x = x_next
         state.j += 1
 
-        grad = riemannian_gradient(spec, metric, x_next, problem.egrad(x_next))
+        grad = riemannian_gradient(spec, metric, x_next, problem.metric_grad(x_next))
         state.gradnorm = metric_norm(metric, x_next, grad)
         state.z = -grad
         rows.append(

@@ -31,8 +31,11 @@ from .manifold import ManifoldSpec, MetricSpec
 class Problem:
     """Objective f with Euclidean gradient egrad on a manifold, plus metric.
 
-    ``pencil_m`` is the M of tr(X^T M X) for trace minimization, whose
-    pencil is (pencil_m, spec.A); None for least squares.
+    ``metric_grad`` maps X to M_X^{-1} egrad(X), the vector whose tangent
+    projection is the Riemannian gradient; the factories give its closed
+    form, and a Problem built without one applies the metric's inverse to
+    egrad.  ``pencil_m`` is the M of tr(X^T M X) for trace minimization,
+    whose pencil is (pencil_m, spec.A); None for least squares.
     """
 
     spec: ManifoldSpec
@@ -40,6 +43,11 @@ class Problem:
     f: Callable[[np.ndarray], float]
     egrad: Callable[[np.ndarray], np.ndarray]
     pencil_m: np.ndarray | None = None
+    metric_grad: Callable[[np.ndarray], np.ndarray] | None = None
+
+    def __post_init__(self):
+        if self.metric_grad is None:
+            self.metric_grad = lambda x: self.metric.apply_inverse(x, self.egrad(x))
 
 
 @dataclass
@@ -62,12 +70,13 @@ class _LastProduct:
     """x -> m @ x, handing the product at f's point on to egrad.  m is an
     array or a :class:`SymOperator`.
 
-    The solver evaluates f at the accepted trial point and then egrad at the
-    same point; both need M X (G X for least squares).  f's call remembers
-    the product; egrad's :meth:`take` reuses it and forgets it, so no n x n
-    copy (procrustes) stays alive between solves.  The argument is remembered
-    by value (a copy compared with np.array_equal, O(nk) against the
-    O(n^2 k) product), so an in-place edit of x never gives a stale product.
+    Under the euclidean metric the solver evaluates f at the accepted trial
+    point and then egrad at the same point; both need M X (G X for least
+    squares).  f's call remembers the product; egrad's :meth:`take` reuses
+    it and forgets it, so no n x n copy (procrustes) stays alive between
+    solves.  The argument is remembered by value (a copy compared with
+    np.array_equal, O(nk) against the O(n^2 k) product), so an in-place edit
+    of x never gives a stale product.
     """
 
     def __init__(self, m: np.ndarray | SymOperator):
@@ -90,14 +99,19 @@ class _LastProduct:
         return mx
 
 
-def _metric_for(choice: str, hessian: SymOperator) -> MetricSpec:
-    """The metric for ``choice``: "hessian" takes M_X = half the objective's
-    constant Hessian, "euclidean" M_X = I.  Either way that Hessian must be
+def _metric_for(choice: str, hessian: SymOperator, egrad: Callable, closed_form: Callable):
+    """(metric, X -> M_X^{-1} egrad(X)) for ``choice``.
+
+    "hessian" takes M_X = half the objective's constant Hessian, under which
+    M_X^{-1} egrad has the closed form ``closed_form``; "euclidean" takes
+    M_X = I, under which it is egrad.  Either way that Hessian must be
     positive definite, so the objective is strictly convex."""
     if choice not in ("euclidean", "hessian"):
         raise ValueError(f"unknown metric choice {choice!r}")
     weighted = MetricSpec.of_operator(hessian)
-    return weighted if choice == "hessian" else MetricSpec.euclidean()
+    if choice == "hessian":
+        return weighted, closed_form
+    return MetricSpec.euclidean(), egrad
 
 
 def trace_min_problem(m: np.ndarray, a: np.ndarray, j: np.ndarray, metric: str = "hessian") -> Problem:
@@ -105,21 +119,25 @@ def trace_min_problem(m: np.ndarray, a: np.ndarray, j: np.ndarray, metric: str =
 
     M must be symmetric positive definite (it is the constant objective
     Hessian, and the preferred metric).  The objective and the metric share
-    one operator for M, banded or dense by its bandwidth.
+    one operator for M, banded or dense by its bandwidth.  Under M_X = M the
+    gradient M^{-1} 2 M X is 2 X, so the solver never calls egrad and f
+    applies M itself.
     """
     m = sym(m)
     spec = ManifoldSpec(a, j)
     m_op = SymOperator(m)
-    met = _metric_for(metric, m_op)
     mx = _LastProduct(m_op)
-
-    def f(x: np.ndarray) -> float:
-        return float(np.vdot(x, mx(x)))
 
     def egrad(x: np.ndarray) -> np.ndarray:
         return 2.0 * mx.take(x)
 
-    return Problem(spec=spec, metric=met, f=f, egrad=egrad, pencil_m=m)
+    met, grad = _metric_for(metric, m_op, egrad, lambda x: 2.0 * x)
+    product = mx if grad is egrad else m_op.__matmul__
+
+    def f(x: np.ndarray) -> float:
+        return float(np.vdot(x, product(x)))
+
+    return Problem(spec=spec, metric=met, f=f, egrad=egrad, pencil_m=m, metric_grad=grad)
 
 
 def extract_eigenpairs(problem: Problem, x: np.ndarray) -> PencilEigResult:
@@ -192,7 +210,11 @@ def matrix_equation_problem(g: np.ndarray, b: np.ndarray, spec: ManifoldSpec, me
 
     G is l x n with full column rank and B is l x k; metric "hessian" takes
     M_X = G^T G.  When G X* = B for a feasible X*, the equation is consistent
-    and X* is the unique global minimizer, with objective zero.
+    and X* is the unique global minimizer, with objective zero.  Under
+    M_X = G^T G the gradient is 2 (X - X_ls) with the unconstrained
+    least-squares solution X_ls = (G^T G)^{-1} G^T B, computed by the
+    metric's Cholesky factor on the first call, so the solver never calls
+    egrad and f applies G itself.
     """
     g = np.asarray(g, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -200,17 +222,26 @@ def matrix_equation_problem(g: np.ndarray, b: np.ndarray, spec: ManifoldSpec, me
         raise ValueError(f"G is {g.shape}, the manifold's points have {spec.n} rows")
     if b.shape != (g.shape[0], spec.k):
         raise ValueError(f"B is {b.shape}, G X is {(g.shape[0], spec.k)}")
-    met = _metric_for(metric, SymOperator(sym(g.T @ g)))
     gx = _LastProduct(g)
-
-    def f(x: np.ndarray) -> float:
-        r = gx(x) - b
-        return float(np.vdot(r, r))
+    x_ls = None
 
     def egrad(x: np.ndarray) -> np.ndarray:
         return 2.0 * (g.T @ (gx.take(x) - b))
 
-    return Problem(spec=spec, metric=met, f=f, egrad=egrad)
+    def closed_form(x: np.ndarray) -> np.ndarray:
+        nonlocal x_ls
+        if x_ls is None:  # not at set-up, which stays one factorization
+            x_ls = met.apply_inverse(x, g.T @ b)
+        return 2.0 * (x - x_ls)
+
+    met, grad = _metric_for(metric, SymOperator(sym(g.T @ g)), egrad, closed_form)
+    product = gx if grad is egrad else g.__matmul__
+
+    def f(x: np.ndarray) -> float:
+        r = product(x) - b
+        return float(np.vdot(r, r))
+
+    return Problem(spec=spec, metric=met, f=f, egrad=egrad, metric_grad=grad)
 
 
 def procrustes_problem(g: np.ndarray, b: np.ndarray, j: np.ndarray, metric: str = "hessian") -> Problem:

@@ -67,7 +67,7 @@ def test_run_summary_recomputable_from_x_final(tmp_path):
     problem, _, _ = build_problem(small_config(tmp_path))
     assert problem.f(x) == pytest.approx(summary["obj"], rel=1e-12)
     assert feasibility(problem.spec, x) == pytest.approx(summary["feas"], rel=1e-9, abs=1e-15)
-    grad = riemannian_gradient(problem.spec, problem.metric, x, problem.egrad(x))
+    grad = riemannian_gradient(problem.spec, problem.metric, x, problem.metric_grad(x))
     assert metric_norm(problem.metric, x, grad) == pytest.approx(
         summary["gradnorm"], rel=1e-9
     )

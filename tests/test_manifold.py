@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg
 
 from indefstiefel import ManifoldSpec, MetricSpec, feasibility, make_point, signature
-from indefstiefel.linalg import solve_lyapunov, sym
+from indefstiefel.linalg import random_rotation, solve_lyapunov, sym
 from indefstiefel.manifold import metric_inner, metric_norm, riemannian_gradient
 
 from conftest import perturbed_point, pointwise_metric, random_indefinite, random_spd, random_spec
@@ -65,6 +65,25 @@ def test_spec_inertia_reporting():
     assert spec.n == 7 and spec.k == 4
     assert spec.inertia_a.n_pos == 4 and spec.inertia_a.n_neg == 3
     assert spec.inertia_j.n_pos == 2 and spec.inertia_j.n_neg == 2
+
+
+def test_spec_reads_diagonal_inertia_and_shares_j_with_a(monkeypatch):
+    q = random_rotation(2, np.random.default_rng(3))
+    rotated = ManifoldSpec(np.diag([1.0, 2.0, -1.0, -2.0]), q.T @ signature(1, 1) @ q)
+    assert rotated.inertia_j == (1, 1, 0)
+
+    def no_eigvalsh(*args, **kwargs):
+        raise AssertionError("a diagonal matrix's inertia is its diagonal's")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+    spec = ManifoldSpec(np.diag([1.0, 2.0, 3.0, -1.0]), signature(2, 1))
+    assert spec.inertia_a == (3, 1, 0) and spec.inertia_j == (2, 1, 0)
+    # the J-orthogonal group iSt_{J,J}: one read-only array for A and J
+    j = signature(3, 2)
+    group = ManifoldSpec(j, j)
+    assert group.A is group.J and not group.A.flags.writeable
+    assert np.array_equal(group.A, j)
+    assert group.inertia_a == group.inertia_j == (3, 2, 0)
 
 
 def test_spec_builds_no_lu_factorization(monkeypatch):
@@ -338,7 +357,7 @@ def test_gradient_duality():
         x = make_point(spec)
         metric = MetricSpec.weighted(random_spd(rng, n))
         egrad = rng.standard_normal((n, kp + km))
-        grad = riemannian_gradient(spec, metric, x, egrad)
+        grad = riemannian_gradient(spec, metric, x, metric.apply_inverse(x, egrad))
         z = random_tangent(spec, x, rng)
         lhs = metric_inner(metric, x, grad, z)
         rhs = float(np.vdot(egrad, z))
@@ -348,8 +367,8 @@ def test_gradient_duality():
 
 
 def test_gradient_one_metric_solve_matches_two():
-    # M_X^{-1} is applied to [AX, egrad] in one solve; the result must equal
-    # bit for bit the gradient built from one solve per block
+    # the gradient applies M_X^{-1} to AX alone and projects the vector it is
+    # given; the result must equal bit for bit the gradient built explicitly
     rng = np.random.default_rng(16)
     n = 40
     spec = random_spec(rng, n, 25, 2, 2, diagonal=True)
@@ -360,7 +379,7 @@ def test_gradient_one_metric_solve_matches_two():
         mi_ax = metric.apply_inverse(x, ax)
         w1 = metric.apply_inverse(x, egrad)
         u = solve_lyapunov(sym(ax.T @ mi_ax), 2.0 * sym(ax.T @ w1))
-        grad = riemannian_gradient(spec, metric, x, egrad)
+        grad = riemannian_gradient(spec, metric, x, w1)
         assert np.array_equal(grad, w1 - mi_ax @ u)
 
 
@@ -370,6 +389,6 @@ def test_gradient_euclidean_riesz_consistency():
     x = make_point(spec)
     metric = MetricSpec.euclidean()
     egrad = rng.standard_normal((6, 3))
-    grad = riemannian_gradient(spec, metric, x, egrad)
+    grad = riemannian_gradient(spec, metric, x, metric.apply_inverse(x, egrad))
     proj = project_tangent(spec, metric, x, egrad)
     assert np.allclose(grad, proj, atol=1e-12)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -25,9 +27,10 @@ from indefstiefel import (
 from indefstiefel import problems
 from indefstiefel import test_matrix as gallery
 from indefstiefel.linalg import SymOperator, random_rotation
+from indefstiefel.manifold import riemannian_gradient
 
 from conftest import block_diag_orthogonal, perturbed_point, random_indefinite, random_spd
-from theory import gradient_check
+from theory import gradient_check, project_tangent
 
 
 # ---------------------------------------------------------------- pencil oracle
@@ -100,9 +103,11 @@ def products(monkeypatch):
 
 
 def test_trace_min_reuses_m_x_between_f_and_egrad(products):
+    # the euclidean metric is the one pairing where the solver calls egrad
     rng = np.random.default_rng(2)
     m = random_spd(rng, 6)
-    problem = trace_min_problem(m, np.diag([1.0, 2.0, 3.0, -1.0, -2.0, -3.0]), signature(2, 1))
+    a = np.diag([1.0, 2.0, 3.0, -1.0, -2.0, -3.0])
+    problem = trace_min_problem(m, a, signature(2, 1), metric="euclidean")
     x = make_point(problem.spec)
     problem.f(x)
     assert np.array_equal(problem.egrad(x.copy()), 2.0 * (m @ x))
@@ -115,19 +120,20 @@ def test_trace_min_reuses_m_x_between_f_and_egrad(products):
 
 @pytest.mark.parametrize("factory", ["procrustes", "matexeq", "matexeq_tall"])
 def test_least_squares_reuse_g_x_between_f_and_egrad(products, factory):
-    # the symmetric G of "matexeq" cannot tell G^T r from G r; the 8 x 6 G can
+    # the symmetric G of "matexeq" cannot tell G^T r from G r; the 8 x 6 G
+    # can.  The euclidean metric is the one pairing where the solver calls egrad
     rng = np.random.default_rng(3)
     n = 6
     if factory == "procrustes":
         g = rng.standard_normal((n, n))
         b = rng.standard_normal((n, n))
-        problem = procrustes_problem(g, b, signature(4, 2))
+        problem = procrustes_problem(g, b, signature(4, 2), metric="euclidean")
         x = np.eye(n)
     else:
         g = random_spd(rng, n) if factory == "matexeq" else rng.standard_normal((8, n))
         spec = ManifoldSpec(np.diag([1.0, 2.0, 3.0, -1.0, -2.0, -3.0]), np.eye(2))
         b = rng.standard_normal((g.shape[0], 2))
-        problem = matrix_equation_problem(g, b, spec)
+        problem = matrix_equation_problem(g, b, spec, metric="euclidean")
         x = make_point(spec)
     r = g @ x - b
     assert problem.f(x) == float(np.vdot(r, r))
@@ -141,6 +147,83 @@ def test_least_squares_reuse_g_x_between_f_and_egrad(products, factory):
     x[0, 0] += 1.0
     assert np.array_equal(problem.egrad(x), 2.0 * (g.T @ (g @ x - b)))
     assert len(products) == 4
+
+
+def closed_form_case(factory, metric="hessian"):
+    """(problem, x): each objective at a feasible point that is not stationary;
+    matexeq has a tall 8 x 6 G, as in the reuse test above, and a B it cannot
+    fit, so G X_ls != B."""
+    rng = np.random.default_rng(21)
+    if factory == "tracemin":
+        a = np.diag(np.concatenate([np.arange(1.0, 7.0), -np.arange(1.0, 5.0)]))
+        problem = trace_min_problem(random_spd(rng, 10), a, signature(2, 1), metric)
+    elif factory == "lrevp":
+        problem = lrevp_problem(random_spd(rng, 6), random_spd(rng, 6), 2, metric)
+    elif factory == "procrustes":
+        n = 6
+        g = rng.standard_normal((n, n))
+        problem = procrustes_problem(g, g @ block_diag_orthogonal(4, 2, rng), signature(4, 2), metric)
+    else:
+        g = rng.standard_normal((8, 6))
+        spec = ManifoldSpec(np.diag([1.0, 2.0, 3.0, -1.0, -2.0, -3.0]), np.eye(2))
+        problem = matrix_equation_problem(g, rng.standard_normal((8, 2)), spec, metric)
+    return problem, perturbed_point(problem.spec, rng, scale=0.4)
+
+
+@pytest.mark.parametrize("factory", ["tracemin", "lrevp", "matexeq", "procrustes"])
+def test_closed_form_gradient_matches_metric_solve(factory):
+    problem, x = closed_form_case(factory)
+    spec, metric = problem.spec, problem.metric
+    grad = riemannian_gradient(spec, metric, x, problem.metric_grad(x))
+    oracle = project_tangent(spec, metric, x, metric.apply_inverse(x, problem.egrad(x)))
+    assert np.linalg.norm(oracle) > 1e-2
+    assert np.linalg.norm(grad - oracle) <= 1e-10 * np.linalg.norm(oracle)
+
+
+@pytest.mark.parametrize("factory", ["matexeq", "procrustes"])
+def test_least_squares_solution_computed_once_on_first_gradient(monkeypatch, factory):
+    calls = []
+    original = MetricSpec.apply_inverse
+
+    def counted(self, x, y):
+        calls.append(1)
+        return original(self, x, y)
+
+    monkeypatch.setattr(MetricSpec, "apply_inverse", counted)
+    problem, x = closed_form_case(factory)
+    assert calls == []
+    first = problem.metric_grad(x)
+    assert len(calls) == 1
+    assert np.array_equal(problem.metric_grad(x), first)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("factory", ["tracemin", "procrustes"])
+def test_hessian_metric_objective_keeps_no_product(factory):
+    # f's product and a copy of X stay alive only for the euclidean pairing,
+    # whose egrad takes them over
+    n, kept = 60, {}
+    for metric in ("hessian", "euclidean"):
+        rng = np.random.default_rng(22)
+        if factory == "tracemin":
+            a = np.diag(np.concatenate([np.arange(1.0, 41.0), -np.arange(1.0, 21.0)]))
+            problem = trace_min_problem(random_spd(rng, n), a, signature(4, 4), metric)
+            x = make_point(problem.spec)
+        else:
+            g, b = rng.standard_normal((2, n, n))
+            problem = procrustes_problem(g, b, signature(40, 20), metric)
+            x = np.eye(n)
+        problem.f(x)  # numpy's first-call allocations stay out of the count
+        problem.egrad(x)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            problem.f(x)
+            kept[metric] = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+    assert kept["hessian"] < x.nbytes // 2
+    assert kept["euclidean"] >= 2 * x.nbytes
 
 
 def test_trace_min_hessian_metric_requires_spd():

@@ -157,8 +157,8 @@ def gradient_check(
     if rng is None:
         rng = np.random.default_rng(0)
     spec, metric = problem.spec, problem.metric
-    f_x = problem.f(x)  # before egrad, which then reuses f's product
-    grad = riemannian_gradient(spec, metric, x, problem.egrad(x))
+    f_x = problem.f(x)
+    grad = riemannian_gradient(spec, metric, x, problem.metric_grad(x))
     worst = 0.0
     for _ in range(n_dirs):
         z = random_tangent(spec, x, rng)
