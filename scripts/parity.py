@@ -10,8 +10,9 @@ writes, per solve: status, iterations, f-evaluations, the history without its
 first N solves.  The second form exits 0 when the solve lists of two such
 files are bitwise equal.  Otherwise it names the first difference, reports
 for each file the sorted per-solve iterations and f-evaluations (median and
-range) and the largest final feasibility, then the largest relative gap
-|f_B - f_A| / |f_A| between the final objectives, and exits 1.
+range) and the largest final feasibility, then the largest gap
+|f_B - f_A| / |f0| between the final objectives, scaled by the start
+objective f0 of A's solve (unscaled where f0 = 0), and exits 1.
 """
 
 from __future__ import annotations
@@ -70,14 +71,13 @@ def distribution(path: str, solves: list[dict]) -> None:
 
 
 def objective_gap(a: list[dict], b: list[dict]) -> float:
-    """Largest |f_B - f_A| / |f_A| over paired solves' final objectives."""
+    """Largest |f_B - f_A| / |f0| over paired solves' final objectives, f0
+    the start objective of A's solve: final objectives near f* = 0 would make
+    a gap relative to f_A read large for two runs that both reached f*."""
     gaps = []
     for sa, sb in zip(a, b):
-        fa, fb = sa["history"][-1][1], sb["history"][-1][1]
-        if fa:
-            gaps.append(abs(fb - fa) / abs(fa))
-        else:
-            gaps.append(0.0 if fb == fa else float("inf"))
+        f0, fa, fb = sa["history"][0][1], sa["history"][-1][1], sb["history"][-1][1]
+        gaps.append(abs(fb - fa) / (abs(f0) or 1.0))
     return max(gaps, default=0.0)
 
 
@@ -91,7 +91,7 @@ def compare(path_a: str, path_b: str) -> int:
     print(difference)
     distribution(path_a, a["solves"])
     distribution(path_b, b["solves"])
-    print(f"largest |f_B - f_A| / |f_A| over final objectives: {objective_gap(a['solves'], b['solves']):.3e}")
+    print(f"largest |f_B - f_A| / |f0| over final objectives: {objective_gap(a['solves'], b['solves']):.3e}")
     return 1
 
 

@@ -112,41 +112,13 @@ class ExperimentConfig:
             raise ConfigError(
                 f"p = {self.p} exceeds n = {self.n}; {self.problem} needs p <= n"
             )
-
-        if self.problem == "tracemin":
-            if self.k < 1:
-                raise ConfigError(f"k = {self.k} must be at least 1")
-            if self.kp > self.k:
-                raise ConfigError(f"kp = {self.kp} exceeds k = {self.k}; tracemin needs kp <= k")
-            if self.kp > self.p:
-                raise ConfigError(
-                    f"kp = {self.kp} exceeds p = {self.p}; the manifold is empty "
-                    "unless kp <= p (positive inertia of J bounded by that of A)"
-                )
-            km, m = self.k - self.kp, self.n - self.p
-            if km > m:
-                raise ConfigError(
-                    f"km = k - kp = {km} exceeds m = n - p = {m}; the manifold is empty "
-                    "unless km <= m (negative inertia of J bounded by that of A)"
-                )
-        elif self.problem == "lrevp":
-            if self.k < 1:
-                raise ConfigError(f"k = {self.k} must be at least 1")
-            if self.mtx_k is None and self.k > self.p:
-                raise ConfigError(
-                    f"k = {self.k} exceeds p = {self.p}; lrevp needs k <= p"
-                )
-        elif self.problem == "procrustes":
-            if self.l is not None and self.l < 1:
-                raise ConfigError(f"l = {self.l} must be at least 1")
-        elif self.problem == "matexeq":
-            if self.k > self.p:
-                raise ConfigError(
-                    f"k = {self.k} exceeds p = {self.p}; the manifold is empty "
-                    "unless k <= p (positive inertia of J bounded by that of A)"
-                )
-            if self.k < 1:
-                raise ConfigError(f"k = {self.k} must be at least 1")
+        # procrustes has k = n; the library checks the rest
+        if self.problem != "procrustes" and self.k < 1:
+            raise ConfigError(f"k = {self.k} must be at least 1")
+        if self.problem == "tracemin" and self.kp > self.k:
+            raise ConfigError(f"kp = {self.kp} exceeds k = {self.k}; tracemin needs kp <= k")
+        if self.problem == "procrustes" and self.l is not None and self.l < 1:
+            raise ConfigError(f"l = {self.l} must be at least 1")
 
     def lines(self) -> list[str]:
         """Resolved ``key = value`` echo, one line per field the problem reads."""
@@ -212,8 +184,8 @@ def build_problem(config: ExperimentConfig) -> tuple[Problem, np.ndarray, np.nda
 
     prescribed is the X* of the recovery problems (procrustes, matexeq),
     whose B = G X* makes it a zero of the objective; None for the eigenvalue
-    problems, which carry their pencil.  Inputs the library rejects (a
-    non-SPD K or M, a singular A) are configuration errors.
+    problems, which carry their pencil.  Inputs the library rejects (an
+    empty manifold, a non-SPD K or M, a singular A) are configuration errors.
     """
     try:
         return _build_problem(config)
@@ -238,16 +210,8 @@ def _build_problem(config: ExperimentConfig) -> tuple[Problem, np.ndarray, np.nd
         if (config.mtx_k is None) != (config.mtx_m is None):
             raise ConfigError("lrevp needs both mtx_k and mtx_m, or neither")
         if config.mtx_k is not None:
-            k_mat = sym(read_mtx(config.mtx_k))
-            m_mat = sym(read_mtx(config.mtx_m))
-            if k_mat.shape != m_mat.shape:
-                raise ConfigError(
-                    f"stiffness is {k_mat.shape}, mass is {m_mat.shape}; "
-                    "lrevp needs matching square matrices"
-                )
+            k_mat, m_mat = read_mtx(config.mtx_k), read_mtx(config.mtx_m)
             p = k_mat.shape[0]
-            if k > p:
-                raise ConfigError(f"k = {k} exceeds matrix size p = {p}")
         else:
             k_mat = _random_spd(p, rng)
             m_mat = _random_spd(p, rng)

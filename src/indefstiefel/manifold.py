@@ -100,20 +100,19 @@ class ManifoldSpec:
 class MetricSpec:
     """A tractable metric g_X(Z1, Z2) = tr(Z1^T M_X Z2).
 
-    kind "euclidean": M_X = I.  kind "weighted": M_X = M constant, held as a
+    M_X = I when ``matrix`` is None; otherwise M_X = M constant, held as a
     :class:`SymOperator` (banded or dense by its bandwidth) with a Cholesky
     factorization cached for applying M^{-1}.  The solver calls only
     :meth:`apply` and :meth:`apply_inverse`, so any object with those two
     methods can stand in for an X-dependent metric.
     """
 
-    kind: str
     matrix: SymOperator | None = None
     _solve: Callable | None = field(default=None, repr=False, compare=False)
 
     @staticmethod
     def euclidean() -> "MetricSpec":
-        return MetricSpec(kind="euclidean")
+        return MetricSpec()
 
     @staticmethod
     def weighted(m: np.ndarray) -> "MetricSpec":
@@ -126,17 +125,17 @@ class MetricSpec:
             solve = m.cho_solver()
         except np.linalg.LinAlgError as exc:
             raise ValueError("metric matrix is not positive definite") from exc
-        return MetricSpec(kind="weighted", matrix=m, _solve=solve)
+        return MetricSpec(matrix=m, _solve=solve)
 
     def apply(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """M_X y at base point x."""
-        if self.kind == "euclidean":
+        if self.matrix is None:
             return np.asarray(y, dtype=float)
         return self.matrix @ y
 
     def apply_inverse(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """M_X^{-1} y at base point x."""
-        if self.kind == "euclidean":
+        if self.matrix is None:
             return np.asarray(y, dtype=float)
         return self._solve(y)
 

@@ -66,39 +66,6 @@ class PencilEigResult:
     rel_err: float
 
 
-class _LastProduct:
-    """x -> m @ x, handing the product at f's point on to egrad.  m is an
-    array or a :class:`SymOperator`.
-
-    Under the euclidean metric the solver evaluates f at the accepted trial
-    point and then egrad at the same point; both need M X (G X for least
-    squares).  f's call remembers the product; egrad's :meth:`take` reuses
-    it and forgets it, so no n x n copy (procrustes) stays alive between
-    solves.  The argument is remembered by value (a copy compared with
-    np.array_equal, O(nk) against the O(n^2 k) product), so an in-place edit
-    of x never gives a stale product.
-    """
-
-    def __init__(self, m: np.ndarray | SymOperator):
-        self.m = m
-        self._x: np.ndarray | None = None
-        self._mx: np.ndarray | None = None
-
-    def _product(self, x: np.ndarray) -> np.ndarray:
-        return self.m @ x
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        if self._x is None or not np.array_equal(self._x, x):
-            self._mx = self._product(x)
-            self._x = np.array(x, dtype=float)
-        return self._mx
-
-    def take(self, x: np.ndarray) -> np.ndarray:
-        mx = self(x)
-        self._x = self._mx = None
-        return mx
-
-
 def _metric_for(choice: str, hessian: SymOperator, egrad: Callable, closed_form: Callable):
     """(metric, X -> M_X^{-1} egrad(X)) for ``choice``.
 
@@ -120,23 +87,19 @@ def trace_min_problem(m: np.ndarray, a: np.ndarray, j: np.ndarray, metric: str =
     M must be symmetric positive definite (it is the constant objective
     Hessian, and the preferred metric).  The objective and the metric share
     one operator for M, banded or dense by its bandwidth.  Under M_X = M the
-    gradient M^{-1} 2 M X is 2 X, so the solver never calls egrad and f
-    applies M itself.
+    gradient M^{-1} 2 M X is 2 X, so the solver never calls egrad.
     """
     m = sym(m)
     spec = ManifoldSpec(a, j)
     m_op = SymOperator(m)
-    mx = _LastProduct(m_op)
-
-    def egrad(x: np.ndarray) -> np.ndarray:
-        return 2.0 * mx.take(x)
-
-    met, grad = _metric_for(metric, m_op, egrad, lambda x: 2.0 * x)
-    product = mx if grad is egrad else m_op.__matmul__
 
     def f(x: np.ndarray) -> float:
-        return float(np.vdot(x, product(x)))
+        return float(np.vdot(x, m_op @ x))
 
+    def egrad(x: np.ndarray) -> np.ndarray:
+        return 2.0 * (m_op @ x)
+
+    met, grad = _metric_for(metric, m_op, egrad, lambda x: 2.0 * x)
     return Problem(spec=spec, metric=met, f=f, egrad=egrad, pencil_m=m, metric_grad=grad)
 
 
@@ -214,7 +177,7 @@ def matrix_equation_problem(g: np.ndarray, b: np.ndarray, spec: ManifoldSpec, me
     M_X = G^T G the gradient is 2 (X - X_ls) with the unconstrained
     least-squares solution X_ls = (G^T G)^{-1} G^T B, computed by the
     metric's Cholesky factor on the first call, so the solver never calls
-    egrad and f applies G itself.
+    egrad.
     """
     g = np.asarray(g, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -222,11 +185,14 @@ def matrix_equation_problem(g: np.ndarray, b: np.ndarray, spec: ManifoldSpec, me
         raise ValueError(f"G is {g.shape}, the manifold's points have {spec.n} rows")
     if b.shape != (g.shape[0], spec.k):
         raise ValueError(f"B is {b.shape}, G X is {(g.shape[0], spec.k)}")
-    gx = _LastProduct(g)
     x_ls = None
 
+    def f(x: np.ndarray) -> float:
+        r = g @ x - b
+        return float(np.vdot(r, r))
+
     def egrad(x: np.ndarray) -> np.ndarray:
-        return 2.0 * (g.T @ (gx.take(x) - b))
+        return 2.0 * (g.T @ (g @ x - b))
 
     def closed_form(x: np.ndarray) -> np.ndarray:
         nonlocal x_ls
@@ -235,12 +201,6 @@ def matrix_equation_problem(g: np.ndarray, b: np.ndarray, spec: ManifoldSpec, me
         return 2.0 * (x - x_ls)
 
     met, grad = _metric_for(metric, SymOperator(sym(g.T @ g)), egrad, closed_form)
-    product = gx if grad is egrad else g.__matmul__
-
-    def f(x: np.ndarray) -> float:
-        r = product(x) - b
-        return float(np.vdot(r, r))
-
     return Problem(spec=spec, metric=met, f=f, egrad=egrad, metric_grad=grad)
 
 

@@ -422,7 +422,7 @@ def test_lrevp_pipeline_smoke():
     )
 
 
-def test_econ_form_not_slower_than_full_at_scale(monkeypatch):
+def test_woodbury_kernel_not_slower_than_dense_at_scale(monkeypatch):
     # the library's kernel at (n, k) = (1000, 10) against the dense oracle
     n = 1000
     m_mat = gallery("tridiag", n)
@@ -432,11 +432,11 @@ def test_econ_form_not_slower_than_full_at_scale(monkeypatch):
     config = SolverConfig(rstop=0.0, max_iter=15)
     with monkeypatch.context() as mp:
         mp.setattr(optimizer, "CayleyCurve", DenseCayleyCurve)
-        full = solve(problem, x0, config)
-    econ = solve(problem, x0, config)
-    assert full.n_iter == econ.n_iter == 15
-    assert econ.cpu_s <= full.cpu_s
+        dense = solve(problem, x0, config)
+    woodbury = solve(problem, x0, config)
+    assert dense.n_iter == woodbury.n_iter == 15
+    assert woodbury.cpu_s <= dense.cpu_s
     report(
-        "econ vs full wall time n=1000 k=10",
-        econ_s=econ.cpu_s, full_s=full.cpu_s, ratio=full.cpu_s / econ.cpu_s,
+        "woodbury vs dense kernel wall time n=1000 k=10",
+        woodbury_s=woodbury.cpu_s, dense_s=dense.cpu_s, ratio=dense.cpu_s / woodbury.cpu_s,
     )

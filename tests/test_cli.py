@@ -197,8 +197,32 @@ def test_empty_manifold_rejected_with_named_inequality(tmp_path, capsys):
     code = main(run_args(tmp_path, "--kp", "25", "--k", "26"))
     assert code == 1
     err = capsys.readouterr().err
-    assert "kp" in err and "25" in err and "<=" in err
-    assert not (tmp_path / "summary.json").exists()  # rejected before any work
+    # the library's message names both positive inertias
+    assert err.startswith("config error:") and "i+(J) = 25 exceeds i+(A) = 20" in err
+    assert not (tmp_path / "summary.json").exists()  # rejected before the solve
+
+
+@pytest.mark.parametrize("argv, mtx_shapes", [
+    (["--problem", "tracemin", "--n", "30", "--p", "2", "--k", "3", "--kp", "3"], None),
+    (["--problem", "tracemin", "--n", "30", "--p", "28", "--k", "5", "--kp", "1"], None),
+    (["--problem", "lrevp", "--p", "4", "--k", "5"], None),
+    (["--problem", "lrevp", "--k", "4"], ((3, 3), (3, 3))),
+    (["--problem", "lrevp", "--k", "1"], ((3, 3), (4, 4))),
+    (["--problem", "lrevp", "--k", "1"], ((3, 4), (3, 3))),
+    (["--problem", "matexeq", "--n", "12", "--p", "3", "--k", "4"], None),
+], ids=["tracemin_kp_over_p", "tracemin_km_over_m", "lrevp_k_over_p", "lrevp_mtx_k_over_p",
+        "lrevp_mtx_orders_differ", "lrevp_mtx_k_not_square", "matexeq_k_over_p"])
+def test_inputs_the_library_rejects_exit_1_without_artifacts(tmp_path, capsys, argv, mtx_shapes):
+    # the library, not the CLI, checks these: the empty manifolds i+-(J) >
+    # i+-(A), and lrevp's K and M orders and k <= p
+    if mtx_shapes is not None:
+        for name, shape in zip(("K", "M"), mtx_shapes):
+            scipy.io.mmwrite(str(tmp_path / f"{name}.mtx"), np.eye(*shape))
+        argv = [*argv, "--mtx-k", str(tmp_path / "K.mtx"), "--mtx-m", str(tmp_path / "M.mtx")]
+    out = tmp_path / "out"
+    assert main(["run", *argv, "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("metric", ["hessian", "euclidean"])
@@ -388,10 +412,13 @@ def test_verify_fails_on_wrong_end_point(monkeypatch, capsys):
 
 
 def test_script_configs_parse_and_validate():
+    # building each problem runs the checks that the library makes
     paths = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.cfg"))
     assert len(paths) >= 3
     for path in paths:
-        ExperimentConfig(**parse_config_file(path)).validate()
+        config = ExperimentConfig(**parse_config_file(path))
+        config.validate()
+        build_problem(config)
 
 
 def test_parity_script_compares_runs(tmp_path):
@@ -423,6 +450,6 @@ def test_parity_script_compares_runs(tmp_path):
         assert f"{path}: iters [{iters}] median {iters} range {iters}-{iters}" in done.stdout
         assert f"{path}: fevals [{fevals}] median {fevals} range {fevals}-{fevals}" in done.stdout
         assert f"{path}: largest final feasibility {solve['history'][-1][4]:.3e}" in done.stdout
-    gap = abs(f_b - f_a) / abs(f_a)
+    gap = abs(f_b - f_a) / abs(solve["history"][0][1])  # scaled by the start objective
     assert gap > 0
     assert f"over final objectives: {gap:.3e}" in done.stdout

@@ -24,7 +24,6 @@ from indefstiefel import (
     solve,
     trace_min_problem,
 )
-from indefstiefel import problems
 from indefstiefel import test_matrix as gallery
 from indefstiefel.linalg import SymOperator, random_rotation
 from indefstiefel.manifold import riemannian_gradient
@@ -88,71 +87,50 @@ def test_trace_min_problem_cost_and_gradient():
     assert np.array_equal(problem.pencil_m, m)
 
 
-@pytest.fixture
-def products(monkeypatch):
-    """One entry per product that the objectives' _LastProduct computes."""
-    calls = []
-    original = problems._LastProduct._product
-
-    def counted(self, x):
-        calls.append(1)
-        return original(self, x)
-
-    monkeypatch.setattr(problems._LastProduct, "_product", counted)
-    return calls
-
-
-def test_trace_min_reuses_m_x_between_f_and_egrad(products):
-    # the euclidean metric is the one pairing where the solver calls egrad
-    rng = np.random.default_rng(2)
-    m = random_spd(rng, 6)
-    a = np.diag([1.0, 2.0, 3.0, -1.0, -2.0, -3.0])
-    problem = trace_min_problem(m, a, signature(2, 1), metric="euclidean")
-    x = make_point(problem.spec)
-    problem.f(x)
-    assert np.array_equal(problem.egrad(x.copy()), 2.0 * (m @ x))
-    assert len(products) == 1
-    # an in-place edit is a new point, never a stale product
-    x[0, 0] += 1.0
-    assert np.array_equal(problem.egrad(x), 2.0 * (m @ x))
-    assert len(products) == 2
-
-
-@pytest.mark.parametrize("factory", ["procrustes", "matexeq", "matexeq_tall"])
-def test_least_squares_reuse_g_x_between_f_and_egrad(products, factory):
-    # the symmetric G of "matexeq" cannot tell G^T r from G r; the 8 x 6 G
-    # can.  The euclidean metric is the one pairing where the solver calls egrad
+@pytest.mark.parametrize("factory", ["tracemin", "procrustes", "matexeq", "matexeq_tall"])
+def test_objective_and_euclidean_gradient_are_exact(factory):
+    # the symmetric G of "matexeq" cannot tell G^T r from G r; the 8 x 6 G can
     rng = np.random.default_rng(3)
     n = 6
-    if factory == "procrustes":
-        g = rng.standard_normal((n, n))
-        b = rng.standard_normal((n, n))
-        problem = procrustes_problem(g, b, signature(4, 2), metric="euclidean")
-        x = np.eye(n)
+    if factory == "tracemin":
+        m = random_spd(rng, n)
+        problem = trace_min_problem(m, np.diag([1.0, 2.0, 3.0, -1.0, -2.0, -3.0]), signature(2, 1))
+        x = make_point(problem.spec)
+
+        def f(x):
+            return float(np.vdot(x, m @ x))
+
+        def egrad(x):
+            return 2.0 * (m @ x)
     else:
-        g = random_spd(rng, n) if factory == "matexeq" else rng.standard_normal((8, n))
-        spec = ManifoldSpec(np.diag([1.0, 2.0, 3.0, -1.0, -2.0, -3.0]), np.eye(2))
-        b = rng.standard_normal((g.shape[0], 2))
-        problem = matrix_equation_problem(g, b, spec, metric="euclidean")
-        x = make_point(spec)
-    r = g @ x - b
-    assert problem.f(x) == float(np.vdot(r, r))
-    assert np.array_equal(problem.egrad(x.copy()), 2.0 * (g.T @ r))
-    assert len(products) == 1
-    # egrad forgets the product it took: none outlives the solve
-    problem.egrad(x)
-    assert len(products) == 2
-    # an in-place edit is a new point, never a stale product
-    problem.f(x)
-    x[0, 0] += 1.0
-    assert np.array_equal(problem.egrad(x), 2.0 * (g.T @ (g @ x - b)))
-    assert len(products) == 4
+        if factory == "procrustes":
+            g = rng.standard_normal((n, n))
+            b = rng.standard_normal((n, n))
+            problem = procrustes_problem(g, b, signature(4, 2))
+            x = np.eye(n)
+        else:
+            g = random_spd(rng, n) if factory == "matexeq" else rng.standard_normal((8, n))
+            spec = ManifoldSpec(np.diag([1.0, 2.0, 3.0, -1.0, -2.0, -3.0]), np.eye(2))
+            b = rng.standard_normal((g.shape[0], 2))
+            problem = matrix_equation_problem(g, b, spec)
+            x = make_point(spec)
+
+        def f(x):
+            r = g @ x - b
+            return float(np.vdot(r, r))
+
+        def egrad(x):
+            return 2.0 * (g.T @ (g @ x - b))
+    for _ in range(2):
+        assert problem.f(x) == f(x)
+        assert np.array_equal(problem.egrad(x), egrad(x))
+        x[0, 0] += 1.0  # an in-place edit is a new point
 
 
 def closed_form_case(factory, metric="hessian"):
     """(problem, x): each objective at a feasible point that is not stationary;
-    matexeq has a tall 8 x 6 G, as in the reuse test above, and a B it cannot
-    fit, so G X_ls != B."""
+    matexeq has a tall 8 x 6 G, as in the exact-value test above, and a B it
+    cannot fit, so G X_ls != B."""
     rng = np.random.default_rng(21)
     if factory == "tracemin":
         a = np.diag(np.concatenate([np.arange(1.0, 7.0), -np.arange(1.0, 5.0)]))
@@ -200,8 +178,7 @@ def test_least_squares_solution_computed_once_on_first_gradient(monkeypatch, fac
 
 @pytest.mark.parametrize("factory", ["tracemin", "procrustes"])
 def test_hessian_metric_objective_keeps_no_product(factory):
-    # f's product and a copy of X stay alive only for the euclidean pairing,
-    # whose egrad takes them over
+    # under either metric f keeps neither its product nor a copy of X
     n, kept = 60, {}
     for metric in ("hessian", "euclidean"):
         rng = np.random.default_rng(22)
@@ -223,7 +200,7 @@ def test_hessian_metric_objective_keeps_no_product(factory):
         finally:
             tracemalloc.stop()
     assert kept["hessian"] < x.nbytes // 2
-    assert kept["euclidean"] >= 2 * x.nbytes
+    assert kept["euclidean"] < x.nbytes // 2
 
 
 def test_trace_min_hessian_metric_requires_spd():
