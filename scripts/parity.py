@@ -1,7 +1,8 @@
-"""Fingerprint every solve of a benchmark workload, or compare two fingerprints.
+"""Fingerprint every solve of a benchmark workload, or compare fingerprints.
 
     python3 scripts/parity.py --workload tridiag2000 --seed 0 --out a.json
     python3 scripts/parity.py --compare a.json b.json
+    python3 scripts/parity.py --compare a0.json b0.json a1.json b1.json
 
 The first form solves each start of each instance of a workload from
 ``perfbench/workloads.py`` (one BLAS thread, library from ``src/``) and
@@ -12,7 +13,12 @@ files are bitwise equal.  Otherwise it names the first difference, reports
 for each file the sorted per-solve iterations and f-evaluations (median and
 range) and the largest final feasibility, then the largest gap
 |f_B - f_A| / |f0| between the final objectives, scaled by the start
-objective f0 of A's solve (unscaled where f0 = 0), and exits 1.
+objective f0 of A's solve (unscaled where f0 = 0), and exits 1.  The third
+form takes several A B pairs, say one per seed: it reports each pair's first
+difference and, when any pair differs, pools the solves of the A files and
+of the B files, printing for iterations and f-evaluations the per-solve
+median and mean and the sum per file, then each side's largest final
+feasibility and the largest objective gap over all pairs.
 """
 
 from __future__ import annotations
@@ -81,17 +87,36 @@ def objective_gap(a: list[dict], b: list[dict]) -> float:
     return max(gaps, default=0.0)
 
 
-def compare(path_a: str, path_b: str) -> int:
-    a, b = (json.loads(Path(p).read_text()) for p in (path_a, path_b))
-    print(f"{path_a}: {a['workload']} seed {a['seed']}; {path_b}: {b['workload']} seed {b['seed']}")
-    difference = first_difference(a["solves"], b["solves"])
-    if difference is None:
-        print(f"{len(a['solves'])} solves bitwise equal")
+def pooled(side: str, files: list[tuple[str, dict]]) -> None:
+    """Per-solve counts over all files of one side, and their sum per file."""
+    solves = [s for _, data in files for s in data["solves"]]
+    for key in ("iters", "fevals"):
+        values = [s[key] for s in solves]
+        sums = " ".join(f"{path} (seed {data['seed']}) {sum(s[key] for s in data['solves'])}"
+                        for path, data in files)
+        print(f"{side}: {key} median {statistics.median(values):g} mean {statistics.mean(values):.2f}"
+              f" over {len(values)} solves; sums {sums}")
+    print(f"{side}: largest final feasibility {max(s['history'][-1][4] for s in solves):.3e}")
+
+
+def compare(paths: list[str]) -> int:
+    pairs = [[(p, json.loads(Path(p).read_text())) for p in pair] for pair in zip(paths[::2], paths[1::2])]
+    differ = False
+    for (path_a, a), (path_b, b) in pairs:
+        print(f"{path_a}: {a['workload']} seed {a['seed']}; {path_b}: {b['workload']} seed {b['seed']}")
+        difference = first_difference(a["solves"], b["solves"])
+        print(difference or f"{len(a['solves'])} solves bitwise equal")
+        differ = differ or difference is not None
+    if not differ:
         return 0
-    print(difference)
-    distribution(path_a, a["solves"])
-    distribution(path_b, b["solves"])
-    print(f"largest |f_B - f_A| / |f0| over final objectives: {objective_gap(a['solves'], b['solves']):.3e}")
+    if len(pairs) == 1:
+        for path, data in pairs[0]:
+            distribution(path, data["solves"])
+    else:
+        pooled("A", [pair[0] for pair in pairs])
+        pooled("B", [pair[1] for pair in pairs])
+    gap = max(objective_gap(a["solves"], b["solves"]) for (_, a), (_, b) in pairs)
+    print(f"largest |f_B - f_A| / |f0| over final objectives: {gap:.3e}")
     return 1
 
 
@@ -101,12 +126,14 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--limit", type=int)
     parser.add_argument("--out")
-    parser.add_argument("--compare", nargs=2, metavar=("A", "B"))
+    parser.add_argument("--compare", nargs="+", metavar="A B")
     args = parser.parse_args(argv)
     if args.compare:
-        return compare(*args.compare)
+        if len(args.compare) % 2:
+            parser.error("--compare takes files in A B pairs")
+        return compare(args.compare)
     if not (args.workload and args.out):
-        parser.error("give --workload and --out, or --compare A B")
+        parser.error("give --workload and --out, or --compare A B [A B ...]")
     from run import pin_threads
     pin_threads()
     solves = fingerprints(args.workload, args.seed, args.limit)

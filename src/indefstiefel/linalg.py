@@ -17,6 +17,7 @@ import scipy.io
 import scipy.linalg
 import scipy.sparse
 from scipy.linalg import get_lapack_funcs
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 
 class Inertia(NamedTuple):
@@ -60,11 +61,11 @@ def bandwidth(s: np.ndarray) -> int:
 def _banded(n: int, b: int) -> bool:
     """Whether the banded form is the cheaper one at order n and bandwidth b.
 
-    With one OpenBLAS 0.3.31 thread on a 2-core x86-64 VM, a product with
-    n x k plus a solve with n x 2k costs the same in both forms near b = 1 (n = 100), 4 (n = 200), 14 (n = 400),
-    50 (n = 1000) and 130 (n = 2000): the per-diagonal loop sets the
-    crossover at small n.  The rule sits below it at every measured size,
-    and always takes a diagonal matrix as banded."""
+    With one BLAS thread (OpenBLAS 0.3.31 in numpy, 0.3.30 in scipy) on a
+    2-core x86-64 VM, a product with n x 10 plus a solve with n x 10 costs
+    the same in both forms near b = 16 (n = 200), 80 (n = 400) and 150
+    (n = 2000).  The rule sits well below it at every measured size, and
+    always takes a diagonal matrix as banded."""
     return 64 * b <= n
 
 
@@ -72,10 +73,11 @@ class SymOperator:
     """A symmetric matrix S, applied and factored in one of two forms chosen
     from its order n and bandwidth b alone.
 
-    The banded form keeps the 2b + 1 diagonals in LAPACK's upper band
-    storage: ``S @ x`` loops over the diagonals and the Cholesky factor is
-    banded.  The dense form keeps the array: ``S @ x`` is BLAS and the
-    Cholesky factor is n x n.  ``dense`` is the array either way, and
+    The banded form keeps the 2b + 1 diagonals: ``S @ x`` scales the rows
+    when b = 0 and is scipy's compiled DIA product otherwise; the factor is
+    LAPACK's LDL^T of a tridiagonal matrix when b = 1 and a banded Cholesky
+    factor otherwise.  The dense form keeps the array: ``S @ x`` is BLAS and
+    the Cholesky factor is n x n.  ``dense`` is the array either way, and
     ``banded`` tells the form.
     """
 
@@ -88,28 +90,40 @@ class SymOperator:
             self._ab = np.zeros((b + 1, s.shape[0]))
             for d in range(b + 1):
                 self._ab[b - d, d:] = np.diagonal(s, d)
+        if self.banded and b:
+            # offsets 0, +1, -1, +2, -2, ...: the kernel sums in this order
+            data = np.zeros((2 * b + 1, s.shape[0]))
+            data[0] = self._ab[b]
+            for d in range(1, b + 1):
+                data[2 * d - 1, d:] = data[2 * d, :-d] = self._ab[b - d, d:]
+            offsets = [0] + [o for d in range(1, b + 1) for o in (d, -d)]
+            self._dia = scipy.sparse.dia_array((data, offsets), shape=s.shape)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         """S x.  The banded form returns a C-ordered array with +0 where the
         dense product has +0; with b = 0 it equals ``dense @ x`` bit for bit."""
         if not self.banded:
             return self.dense @ x
-        b = self.bandwidth
-        ab = self._ab if np.ndim(x) == 1 else self._ab[:, :, None]
-        out = np.multiply(ab[b], x, order="C")
-        for d in range(1, b + 1):
-            out[:-d] += ab[b - d, d:] * x[d:]
-            out[d:] += ab[b - d, d:] * x[:-d]
+        if self.bandwidth:
+            return self._dia @ x
+        d = self._ab[0] if np.ndim(x) == 1 else self._ab[0, :, None]
+        out = np.multiply(d, x, order="C")
         out += 0.0  # -0 becomes +0
         return out
 
     def cho_solver(self) -> Callable[[np.ndarray], np.ndarray]:
-        """y -> S^{-1} y through a Cholesky factor of S, computed here once;
+        """y -> S^{-1} y through a factorization of S, computed here once;
         raises numpy.linalg.LinAlgError unless S is positive definite."""
         # the factorization checked S once; skip the recheck per solve
         if not self.banded:
             return partial(scipy.linalg.cho_solve, scipy.linalg.cho_factor(self.dense),
                            check_finite=False)
+        if self.bandwidth == 1:
+            ab = np.asarray_chkfinite(self._ab)  # dpttrf lets a NaN through
+            d, e, info = dpttrf(ab[1], ab[0, 1:])
+            if info != 0:
+                raise np.linalg.LinAlgError(f"{info}-th leading minor not positive definite")
+            return lambda y: dpttrs(d, e, y)[0]
         factor = (scipy.linalg.cholesky_banded(self._ab), False)
         return partial(scipy.linalg.cho_solve_banded, factor, check_finite=False)
 

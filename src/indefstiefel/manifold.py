@@ -101,8 +101,9 @@ class MetricSpec:
     """A tractable metric g_X(Z1, Z2) = tr(Z1^T M_X Z2).
 
     M_X = I when ``matrix`` is None; otherwise M_X = M constant, held as a
-    :class:`SymOperator` (banded or dense by its bandwidth) with a Cholesky
-    factorization cached for applying M^{-1}.  The solver calls only
+    :class:`SymOperator` (banded or dense by its bandwidth) with its
+    factorization cached for applying M^{-1}: LDL^T when M is tridiagonal,
+    Cholesky otherwise.  The solver calls only
     :meth:`apply` and :meth:`apply_inverse`, so any object with those two
     methods can stand in for an X-dependent metric.
     """

@@ -176,7 +176,7 @@ def matrix_equation_problem(g: np.ndarray, b: np.ndarray, spec: ManifoldSpec, me
     and X* is the unique global minimizer, with objective zero.  Under
     M_X = G^T G the gradient is 2 (X - X_ls) with the unconstrained
     least-squares solution X_ls = (G^T G)^{-1} G^T B, computed by the
-    metric's Cholesky factor on the first call, so the solver never calls
+    metric's factorization on the first call, so the solver never calls
     egrad.
     """
     g = np.asarray(g, dtype=float)

@@ -453,3 +453,21 @@ def test_parity_script_compares_runs(tmp_path):
     gap = abs(f_b - f_a) / abs(solve["history"][0][1])  # scaled by the start objective
     assert gap > 0
     assert f"over final objectives: {gap:.3e}" in done.stdout
+    # several A B pairs, one per seed: each pair's first difference, then the
+    # pooled per-solve counts with a sum per file
+    pair = [tmp_path / "a1.json", tmp_path / "b1.json"]
+    data["seed"] = 1
+    pair[0].write_text(json.dumps(data))
+    solve["iters"] += 2
+    pair[1].write_text(json.dumps(data))
+    done = parity("--compare", *paths, *pair)
+    assert done.returncode == 1
+    assert "solve 0: history differs" in done.stdout and "solve 0: iters differs" in done.stdout
+    assert f"A: iters median {iters} mean {iters:.2f} over 2 solves; sums {paths[0]} (seed 0) {iters} " \
+        f"{pair[0]} (seed 1) {iters}" in done.stdout
+    assert f"B: iters median {iters + 1} mean {iters + 1:.2f} over 2 solves; sums {paths[1]} (seed 0) {iters} " \
+        f"{pair[1]} (seed 1) {iters + 2}" in done.stdout
+    assert f"B: fevals median {fevals} mean {fevals:.2f} over 2 solves" in done.stdout
+    assert f"over final objectives: {gap:.3e}" in done.stdout
+    assert parity("--compare", *paths, paths[0]).returncode == 2  # not in pairs
+    assert parity("--compare", paths[0], paths[0], pair[1], pair[1]).returncode == 0

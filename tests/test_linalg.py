@@ -25,6 +25,7 @@ from indefstiefel.linalg import (
 )
 
 from conftest import random_spd
+from theory import banded_product
 
 
 def test_sym_skew_decompose():
@@ -203,6 +204,43 @@ def test_banded_operator_matches_dense_product_and_solve(n, b):
         assert out.flags.c_contiguous
         assert _rel(out, s @ xin) <= 1e-13
         assert _rel(solve(xin), scipy.linalg.cho_solve(chol, xin)) <= 1e-13
+
+
+@pytest.mark.parametrize("b", [0, 1, 2, 3])
+def test_banded_product_is_the_diagonal_loop_bitwise(b):
+    rng = np.random.default_rng(20 + b)
+    n = 256
+    s = banded_spd(rng, n, b)
+    op = SymOperator(s)
+    assert op.banded and op.bandwidth == b
+    x = rng.standard_normal((n, 6))
+    x[:, 0] = -0.0  # every product term is -0: the result must hold +0
+    x[5, 1] = 0.0
+    rows = rng.standard_normal((2 * n, 3))[::2]  # a row stride of two
+    for xin in (x, np.asfortranarray(x), x[:, 1], x[:, 0], x[:, ::2], rows):
+        out, ref = op @ xin, banded_product(s, b, xin)
+        assert out.flags.c_contiguous and out.shape == ref.shape
+        assert out.tobytes() == ref.tobytes()  # bits, zero signbits included
+
+
+def test_tridiagonal_solve_needs_no_banded_cholesky(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("banded Cholesky called")
+
+    monkeypatch.setattr(scipy.linalg, "cholesky_banded", refuse)
+    monkeypatch.setattr(scipy.linalg, "cho_solve_banded", refuse)
+    rng = np.random.default_rng(30)
+    s = banded_spd(rng, 200, 1)
+    solve = SymOperator(s).cho_solver()
+    chol = scipy.linalg.cho_factor(s)
+    y = rng.standard_normal((200, 5))
+    for yin in (y, np.asfortranarray(y), y[:, 0]):
+        assert _rel(solve(yin), scipy.linalg.cho_solve(chol, yin)) <= 1e-13
+    with pytest.raises(AssertionError, match="banded Cholesky"):
+        SymOperator(banded_spd(rng, 200, 2)).cho_solver()
+    s[3, 3] = np.nan  # refused before it reaches dpttrf, as by cholesky_banded
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        SymOperator(s).cho_solver()
 
 
 def test_operator_form_follows_order_and_bandwidth():

@@ -212,7 +212,7 @@ def test_trace_min_hessian_metric_requires_spd():
 
 @pytest.mark.parametrize("metric", ["hessian", "euclidean"])
 def test_trace_min_rejects_indefinite_banded_m(metric):
-    # a tridiagonal M of order 200 is held banded, so the banded Cholesky
+    # a tridiagonal M of order 200 is held banded, so its LDL^T (dpttrf)
     # is the one that must refuse it
     n = 200
     m = gallery("tridiag", n) - np.eye(n)

@@ -1,6 +1,7 @@
 """The paper's theory checks, which the solver never calls, as test oracles:
 tangent vectors from the free parameterization, the Cayley retraction's
-propositions, and a finite-difference check of the Riemannian gradient."""
+propositions, and a finite-difference check of the Riemannian gradient; and
+the per-diagonal loop that defines a banded product's bits."""
 
 from __future__ import annotations
 
@@ -29,6 +30,20 @@ def solve_a(spec: ManifoldSpec, b: np.ndarray) -> np.ndarray:
         return scipy.linalg.lu_solve(scipy.linalg.lu_factor(spec.A), b)
     d = np.diag(spec.A)
     return b / (d if b.ndim == 1 else d[:, None])
+
+
+def banded_product(s: np.ndarray, b: int, x: np.ndarray) -> np.ndarray:
+    """S x for S of bandwidth b, summed diagonal by diagonal in the order
+    0, +1, -1, +2, -2, ...; C-ordered, with -0 turned into +0.  Diagonal d
+    is read from above the main one for both of its sides."""
+    column = (-1,) + (1,) * (np.ndim(x) - 1)  # a diagonal against the rows of x
+    out = np.multiply(np.diagonal(s).reshape(column), x, order="C")
+    for d in range(1, b + 1):
+        upper = np.diagonal(s, d).reshape(column)
+        out[:-d] += upper * x[d:]
+        out[d:] += upper * x[:-d]
+    out += 0.0
+    return out
 
 
 def tangency_residual(spec: ManifoldSpec, x: np.ndarray, z: np.ndarray) -> float:
