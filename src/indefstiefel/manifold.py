@@ -141,10 +141,12 @@ class MetricSpec:
         return self._solve(y)
 
 
-def feasibility(spec: ManifoldSpec, x: np.ndarray) -> float:
-    """Constraint residual ||X^T A X - J||_F."""
+def feasibility(spec: ManifoldSpec, x: np.ndarray, ax: np.ndarray | None = None) -> float:
+    """Constraint residual ||X^T A X - J||_F; ax = A X when the caller has it."""
     x = np.asarray(x, dtype=float)
-    return float(np.linalg.norm(x.T @ spec.apply_a(x) - spec.J))
+    if ax is None:
+        ax = spec.apply_a(x)
+    return float(np.linalg.norm(x.T @ ax - spec.J))
 
 
 def make_point(
@@ -231,13 +233,20 @@ def _project(ax: np.ndarray, mi_ax: np.ndarray, y: np.ndarray) -> np.ndarray:
     return y - mi_ax @ u
 
 
-def riemannian_gradient(spec: ManifoldSpec, metric: MetricSpec, x: np.ndarray, metric_grad: np.ndarray) -> np.ndarray:
+def riemannian_gradient(
+    spec: ManifoldSpec,
+    metric: MetricSpec,
+    x: np.ndarray,
+    metric_grad: np.ndarray,
+    ax: np.ndarray | None = None,
+) -> np.ndarray:
     """Riemannian gradient of f at x from metric_grad = M_X^{-1} egrad.
 
     grad f(X) = M_X^{-1} egrad - M_X^{-1} A X U with S U + U S =
     2 sym(X^T A M_X^{-1} egrad), the tangent projection of metric_grad
     (``Problem.metric_grad``, in closed form for the factories' metrics).
-    M_X^{-1} is applied to A X alone.
+    M_X^{-1} is applied to A X alone; ax = A X when the caller has it.
     """
-    ax = spec.apply_a(x)
+    if ax is None:
+        ax = spec.apply_a(x)
     return _project(ax, metric.apply_inverse(x, ax), np.asarray(metric_grad, dtype=float))

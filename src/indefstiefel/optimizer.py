@@ -53,6 +53,7 @@ class SolverState:
 
     j: int
     x: np.ndarray
+    ax: np.ndarray         # A x, computed once per accepted point
     z: np.ndarray          # search direction, -grad f(x)
     gradnorm: float        # metric norm of grad f(x)
     q: float
@@ -140,7 +141,7 @@ def nonmonotone_search(problem, state: SolverState, config: SolverConfig):
     counts as a failed condition (no f evaluation).  Raises LineSearchStalled
     after max_backtracks rejections.
     """
-    curve = CayleyCurve(problem.spec, state.x, state.z)
+    curve = CayleyCurve(problem.spec, state.x, state.z, state.ax)
     dir_deriv = -state.gradnorm**2  # g_X(grad f, Z) with Z = -grad f
     for ell in range(config.max_backtracks + 1):
         tau = state.gamma * config.delta**ell
@@ -166,7 +167,8 @@ def solve(problem, x0: np.ndarray, config: SolverConfig | None = None) -> RunRec
     x0 = np.asarray(x0, dtype=float)
 
     feas_tol = 1e-8 * np.linalg.norm(spec.J)
-    feas0 = feasibility(spec, x0)
+    ax0 = spec.apply_a(x0)
+    feas0 = feasibility(spec, x0, ax0)
     if feas0 > feas_tol:
         raise ValueError(
             f"infeasible starting point: ||X0^T A X0 - J||_F = {feas0:.3e}"
@@ -176,11 +178,11 @@ def solve(problem, x0: np.ndarray, config: SolverConfig | None = None) -> RunRec
     f0 = problem.f(x0)
     if not np.isfinite(f0):
         raise ValueError(f"objective is not finite at the starting point ({f0})")
-    grad = riemannian_gradient(spec, metric, x0, problem.metric_grad(x0))
+    grad = riemannian_gradient(spec, metric, x0, problem.metric_grad(x0), ax0)
     gn0 = metric_norm(metric, x0, grad)
 
     state = SolverState(
-        j=0, x=x0, z=-grad, gradnorm=gn0,
+        j=0, x=x0, ax=ax0, z=-grad, gradnorm=gn0,
         q=1.0, c=f0, gamma=config.gamma0, feval=1,
     )
     rows = [(0, f0, gn0, 0.0, feas0, time.perf_counter() - t_start)]
@@ -212,13 +214,14 @@ def solve(problem, x0: np.ndarray, config: SolverConfig | None = None) -> RunRec
         state.q = q_next
         state.prev_x, state.prev_z = state.x, state.z
         state.x = x_next
+        state.ax = spec.apply_a(x_next)
         state.j += 1
 
-        grad = riemannian_gradient(spec, metric, x_next, problem.metric_grad(x_next))
+        grad = riemannian_gradient(spec, metric, x_next, problem.metric_grad(x_next), state.ax)
         state.gradnorm = metric_norm(metric, x_next, grad)
         state.z = -grad
         rows.append(
-            (state.j, f_next, state.gradnorm, tau, feasibility(spec, x_next),
+            (state.j, f_next, state.gradnorm, tau, feasibility(spec, x_next, state.ax),
              time.perf_counter() - t_start)
         )
 

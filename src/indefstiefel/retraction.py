@@ -13,8 +13,10 @@ resolvent above.  The Woodbury kernel writes S_{X,Z} = U C U^T with
 U = [X J, Z] and C = [[skew(Z^T A X), -I], [I, 0]], and applies the
 Sherman-Morrison-Woodbury identity (as in Wen & Yin, Math. Prog. 2013):
     R_X(t Z) = X + t U (I_2k - (t/2) C U^T A U)^{-1} C U^T A X,
-one 2k x 2k solve per step size.  Both compute the same map at any base
-point, feasible or not.
+one 2k x 2k solve per step size.  It never forms U: C U^T A U and C U^T A X
+are assembled from the k x k Grams X^T A X, Z^T A X and Z^T A Z, and the
+point is [X, Z] times a 2k x k coefficient.  Both kernels compute the same
+map at any base point, feasible or not.
 
 Unlike the orthogonal-A case, the map is not globally defined: the curve can
 leave through a singularity of the resolvent in finite t.  Either kernel
@@ -52,29 +54,44 @@ def _woodbury(n: int, k: int) -> bool:
 class CayleyCurve:
     """The curve t -> R_X(t Z) for fixed (X, Z), reusable across step sizes.
 
-    Construction does the one-time O(n^2 k) work; ``at(t)`` then costs one
-    linear solve: 2k x 2k through the Woodbury identity when k is small
-    against n, else the n x n resolvent.
+    Construction applies A to Z (and to X, unless ``ax`` = A X is given) and
+    then, on the Woodbury kernel, forms only k x k Gram blocks: O(n k^2)
+    beyond the two products with A.  ``at(t)`` then costs one linear solve:
+    2k x 2k through the Woodbury identity when k is small against n, else
+    the n x n resolvent.
     """
 
-    def __init__(self, spec: ManifoldSpec, x: np.ndarray, z: np.ndarray):
+    def __init__(self, spec: ManifoldSpec, x: np.ndarray, z: np.ndarray, ax: np.ndarray | None = None):
         self.x = np.asarray(x, dtype=float)
         z = np.asarray(z, dtype=float)
+        if ax is None:
+            ax = spec.apply_a(self.x)
+        az = spec.apply_a(z)
         # the k x k core Z^T A X is skew for tangent Z; re-skewing it keeps S
         # skew to roundoff when Z carries a small tangency defect, and exact
         # skewness is what makes the transform preserve X^T A X
-        ax = spec.apply_a(self.x)
-        az = spec.apply_a(z)
-        core = skew(az.T @ self.x)
+        zax = az.T @ self.x
+        core = skew(zax)
         self._sa = None
         if _woodbury(spec.n, spec.k):
-            # S_{X,Z} = U C U^T; keep C U^T A U and C U^T A X for the 2k solve
-            k = self.x.shape[1]
-            eye = np.eye(k)
-            self._u = np.hstack([self.x @ spec.J, z])
-            c = np.block([[core, -eye], [eye, np.zeros((k, k))]])
-            self._cg = c @ (self._u.T @ np.hstack([ax @ spec.J, az]))
-            self._cv = c @ (self._u.T @ ax)
+            # C U^T A U and C U^T A X blockwise from the Grams X^T A X, Z^T A X
+            # and Z^T A Z, with U = [X J, Z] never formed.  X^T A X is
+            # computed, not taken to be J: the kernel must stay the exact
+            # congruence at a base point off the manifold.
+            k, j = spec.k, spec.J
+            jg = j @ (self.x.T @ ax)
+            jgj = jg @ j
+            jh = j @ zax.T
+            self._cg = np.empty((2 * k, 2 * k))
+            self._cg[:k, :k] = core @ jgj - zax @ j
+            self._cg[:k, k:] = core @ jh - z.T @ az
+            self._cg[k:, :k] = jgj
+            self._cg[k:, k:] = jh
+            self._cv = np.empty((2 * k, k))
+            self._cv[:k] = core @ jg - zax
+            self._cv[k:] = jg
+            self._j = j
+            self._xz = np.hstack([self.x, z])
         else:
             # assemble S_{X,Z} A from rank-k pieces (never an n^3 product)
             xj = self.x @ spec.J
@@ -92,7 +109,12 @@ class CayleyCurve:
                 return out
             b = np.eye(self._cg.shape[0]) - (0.5 * t) * self._cg
             w, _ = checked_solve(b, self._cv, RCOND_FLOOR)
-            return self.x + t * (self._u @ w)
+            # X + t U w = [X, Z] [[I + t J w_1], [t w_2]]; a C-ordered
+            # coefficient takes the faster BLAS kernel for the n x 2k product
+            k = w.shape[1]
+            coef = np.multiply(t, w, order="C")
+            coef[:k] = np.eye(k) + self._j @ coef[:k]
+            return self._xz @ coef
         except np.linalg.LinAlgError as exc:
             raise WellDefinednessError(
                 f"Cayley retraction undefined at t={t:.6g}: {exc}"

@@ -88,10 +88,11 @@ class DenseCayleyCurve:
     CayleyCurve, so it can stand in for the library's curve in ``solve``.
     """
 
-    def __init__(self, spec: ManifoldSpec, x: np.ndarray, z: np.ndarray):
+    def __init__(self, spec: ManifoldSpec, x: np.ndarray, z: np.ndarray, ax: np.ndarray | None = None):
         self.x = np.asarray(x, dtype=float)
         z = np.asarray(z, dtype=float)
-        ax = spec.apply_a(self.x)
+        if ax is None:
+            ax = spec.apply_a(self.x)
         az = spec.apply_a(z)
         core = skew(az.T @ self.x)
         xj = self.x @ spec.J
@@ -108,14 +109,14 @@ class DenseCayleyCurve:
             raise WellDefinednessError(f"oracle Cayley system singular at t={t:.6g}") from exc
 
 
-def woodbury_curve(spec: ManifoldSpec, x: np.ndarray, z) -> CayleyCurve:
+def woodbury_curve(spec: ManifoldSpec, x: np.ndarray, z, ax: np.ndarray | None = None) -> CayleyCurve:
     """The library's curve on its 2k x 2k Woodbury kernel, at any shape: the
     private width rule is patched while the curve is built."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(retraction, "_woodbury", lambda n, k: True)
-        return CayleyCurve(spec, x, z)
+        return CayleyCurve(spec, x, z, ax)
 
 
 # the two Cayley kernels compared by the cross-kernel tests: the dense
-# oracle ("full") and the library's Woodbury kernel ("econ")
-CURVES = {"full": DenseCayleyCurve, "econ": woodbury_curve}
+# oracle and the library's Woodbury kernel
+CURVES = {"dense": DenseCayleyCurve, "woodbury": woodbury_curve}

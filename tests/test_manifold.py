@@ -383,6 +383,22 @@ def test_gradient_one_metric_solve_matches_two():
         assert np.array_equal(grad, w1 - mi_ax @ u)
 
 
+@pytest.mark.parametrize("diagonal", [False, True])
+def test_given_a_x_gives_the_same_bits(diagonal):
+    # the solver hands feasibility and the gradient the A X it computed once
+    # per point; both must return what they return when they compute it
+    rng = np.random.default_rng(17)
+    n = 30
+    spec = random_spec(rng, n, 18, 2, 2, diagonal=diagonal)
+    x = perturbed_point(spec, rng) + 1e-6 * rng.standard_normal((n, 4))
+    ax = spec.apply_a(x)
+    assert feasibility(spec, x, ax) == feasibility(spec, x) > 1e-8
+    w = rng.standard_normal((n, 4))
+    for metric in metrics_for(rng, n):
+        grad = riemannian_gradient(spec, metric, x, w)
+        assert np.array_equal(riemannian_gradient(spec, metric, x, w, ax), grad)
+
+
 def test_gradient_euclidean_riesz_consistency():
     rng = np.random.default_rng(15)
     spec = random_spec(rng, 6, 4, 2, 1)

@@ -99,7 +99,7 @@ def test_diagonal_pencil_matches_oracle():
     assert record.obj == pytest.approx(f_star, rel=1e-9)
 
 
-@pytest.mark.parametrize("form", ["full", "econ"])
+@pytest.mark.parametrize("form", tuple(CURVES))
 def test_forms_reach_same_minimum(monkeypatch, form):
     # the solver on the dense oracle and on the library's Woodbury kernel
     monkeypatch.setattr(optimizer, "CayleyCurve", CURVES[form])
@@ -328,12 +328,12 @@ def test_benchmark_scale_feasibility_drift():
     assert record.feas <= 1e-12
 
 
-@pytest.mark.parametrize("form", ["full", None])
+@pytest.mark.parametrize("form", ["dense", None])
 def test_diagonal_a_operator_keeps_iterates_bitwise(monkeypatch, form):
     # the row-scaling A X of a diagonal A must drive the solver through the
     # same iterates as the dense product A @ X it replaces; the dense
     # kernel's F-ordered iterates catch a result that is not C-ordered
-    if form == "full":
+    if form == "dense":
         monkeypatch.setattr(retraction, "_woodbury", lambda n, k: False)
     n, p = 100, 70
     a = np.diag(np.concatenate([np.arange(1.0, p + 1.0), -np.arange(float(n - p), 0.0, -1.0)]))
@@ -347,6 +347,27 @@ def test_diagonal_a_operator_keeps_iterates_bitwise(monkeypatch, form):
     assert (fast.n_iter, fast.n_feval) == (dense.n_iter, dense.n_feval)
     assert np.array_equal(fast.x, dense.x)
     assert np.array_equal(fast.history()[:, 1], dense.history()[:, 1])
+
+
+def test_one_a_product_per_point_and_per_direction(monkeypatch):
+    # at a Woodbury shape, each iteration applies A twice, to the accepted
+    # point and to the search direction, and the start once more to X0
+    n, p = 60, 40
+    assert retraction._woodbury(n, 5)
+    a = np.diag(np.concatenate([np.arange(1.0, p + 1.0), -np.arange(float(n - p), 0.0, -1.0)]))
+    problem = trace_min_problem(gallery("lehmer", n), a, signature(3, 2), metric="hessian")
+    x0 = make_point(problem.spec)
+    apply_a, calls = ManifoldSpec.apply_a, []
+
+    def counted(self, x):
+        calls.append(x.shape)
+        return apply_a(self, x)
+
+    monkeypatch.setattr(ManifoldSpec, "apply_a", counted)
+    record = solve(problem, x0, SolverConfig(rstop=1e-8))
+    assert record.status == "converged" and record.n_iter > 20
+    assert len(calls) == 2 * record.n_iter + 1
+    assert set(calls) == {(n, 5)}
 
 
 def test_banded_m_keeps_dense_iterates_and_reaches_oracle(monkeypatch):

@@ -213,13 +213,26 @@ def test_compact_forms_exact_off_the_manifold():
         evaluated += 1
         gram = x.T @ (spec.A @ x)
         gram_scale = max(np.linalg.norm(gram), 1.0)
-        ref = max(np.linalg.norm(ys["full"]), 1.0)
-        y = ys["econ"]
-        worst_cross = max(worst_cross, np.linalg.norm(y - ys["full"]) / ref)
+        ref = max(np.linalg.norm(ys["dense"]), 1.0)
+        y = ys["woodbury"]
+        worst_cross = max(worst_cross, np.linalg.norm(y - ys["dense"]) / ref)
         worst_gram = max(worst_gram, np.linalg.norm(y.T @ (spec.A @ y) - gram) / gram_scale)
     assert evaluated >= 50
     assert worst_cross <= 1e-12
     assert worst_gram <= 1e-12
+
+
+def test_curve_with_given_a_x_gives_the_same_bits():
+    # the solver passes the A X of its point to the curve it builds there;
+    # (12, 5) takes the dense kernel and (40, 5) the Woodbury one
+    rng = np.random.default_rng(12)
+    for n, p in ((12, 7), (40, 25)):
+        spec = random_spec(rng, n, p, 3, 2)
+        x = make_point(spec)
+        z = random_tangent(spec, x, rng)
+        x = x + 1e-6 * rng.standard_normal(x.shape)
+        given = CayleyCurve(spec, x, z, spec.apply_a(x)).at(0.4)
+        assert np.array_equal(given, CayleyCurve(spec, x, z).at(0.4))
 
 
 def test_retraction_curve_stays_feasible_along_path():

@@ -77,7 +77,7 @@ def test_solver_has_no_kernel_choice():
     # the width rule alone picks the kernel, so a benchmark that runs the
     # solver with its config times the library's own choice
     assert "form" not in {f.name for f in dataclasses.fields(SolverConfig)}
-    assert list(inspect.signature(CayleyCurve).parameters) == ["spec", "x", "z"]
+    assert list(inspect.signature(CayleyCurve).parameters) == ["spec", "x", "z", "ax"]
 
 
 def test_eigenvalue_script_runs_a_small_pencil(capsys):
