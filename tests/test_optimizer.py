@@ -328,12 +328,12 @@ def test_benchmark_scale_feasibility_drift():
     assert record.feas <= 1e-12
 
 
-@pytest.mark.parametrize("form", ["dense", None])
+@pytest.mark.parametrize("form", ["full", None])
 def test_diagonal_a_operator_keeps_iterates_bitwise(monkeypatch, form):
     # the row-scaling A X of a diagonal A must drive the solver through the
     # same iterates as the dense product A @ X it replaces; the dense
     # kernel's F-ordered iterates catch a result that is not C-ordered
-    if form == "dense":
+    if form == "full":
         monkeypatch.setattr(retraction, "_woodbury", lambda n, k: False)
     n, p = 100, 70
     a = np.diag(np.concatenate([np.arange(1.0, p + 1.0), -np.arange(float(n - p), 0.0, -1.0)]))
