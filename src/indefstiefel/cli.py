@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import random_rotation, read_mtx, signature, sym, test_matrix
+from .linalg import random_rotation, read_mtx, signature, test_matrix
 from .manifold import ManifoldSpec, _points, feasibility, make_point
 from .optimizer import RunRecord, SolverConfig, solve
 from .problems import (
@@ -233,7 +233,7 @@ def _build_problem(config: ExperimentConfig) -> tuple[Problem, np.ndarray, np.nd
     # matexeq
     basis = np.linalg.qr(rng.standard_normal((n, n)))[0]
     a_eigs = np.concatenate([np.arange(1.0, p + 1.0), -np.arange(float(m), 0.0, -1.0)])
-    a = sym((basis * a_eigs) @ basis.T)
+    a = (basis * a_eigs) @ basis.T
     g = test_matrix(config.matrix, n, config.matrix_param)
     spec = ManifoldSpec(a, np.eye(k))
     # both points from one n x n eigendecomposition of A
@@ -244,7 +244,7 @@ def _build_problem(config: ExperimentConfig) -> tuple[Problem, np.ndarray, np.nd
 
 def _random_spd(p: int, rng: np.random.Generator) -> np.ndarray:
     q = np.linalg.qr(rng.standard_normal((p, p)))[0]
-    return sym((q * rng.uniform(0.5, 10.0, p)) @ q.T)
+    return (q * rng.uniform(0.5, 10.0, p)) @ q.T
 
 
 def run_experiment(config: ExperimentConfig) -> tuple[RunRecord, Problem, dict]:

@@ -70,19 +70,22 @@ def _banded(n: int, b: int) -> bool:
 
 
 class SymOperator:
-    """A symmetric matrix S, applied and factored in one of two forms chosen
-    from its order n and bandwidth b alone.
+    """The symmetric matrix S = sym(s), applied and factored in one of two
+    forms chosen from its order n and bandwidth b alone.
 
+    Construction is the one place that symmetrizes an input matrix: both
+    forms read S, which equals s bit for bit when s is exactly symmetric.
     The banded form keeps the 2b + 1 diagonals: ``S @ x`` scales the rows
     when b = 0 and is scipy's compiled DIA product otherwise; the factor is
     LAPACK's LDL^T of a tridiagonal matrix when b = 1 and a banded Cholesky
     factor otherwise.  The dense form keeps the array: ``S @ x`` is BLAS and
-    the Cholesky factor is n x n.  ``dense`` is the array either way, and
+    the Cholesky factor is n x n.  ``dense`` is S, read-only, either way, and
     ``banded`` tells the form.
     """
 
     def __init__(self, s: np.ndarray):
-        self.dense = s
+        self.dense = s = sym(s)
+        s.setflags(write=False)
         self.bandwidth = b = bandwidth(s)
         self.banded = _banded(s.shape[0], b)
         if self.banded:
@@ -110,6 +113,11 @@ class SymOperator:
         out = np.multiply(d, x, order="C")
         out += 0.0  # -0 becomes +0
         return out
+
+    def inertia(self) -> Inertia:
+        """Eigenvalue sign counts of S, from its diagonal when b = 0."""
+        return sign_counts(np.diag(self.dense) if self.bandwidth == 0
+                           else np.linalg.eigvalsh(self.dense))
 
     def cho_solver(self) -> Callable[[np.ndarray], np.ndarray]:
         """y -> S^{-1} y through a factorization of S, computed here once;

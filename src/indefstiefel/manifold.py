@@ -20,31 +20,20 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import SymOperator, bandwidth, sign_counts, solve_lyapunov, sym
-
-
-def _readonly_sym(a: np.ndarray) -> np.ndarray:
-    """sym(a) as a new read-only array."""
-    a = sym(a)
-    a.setflags(write=False)
-    return a
-
-
-def _eigvals(s: np.ndarray, b: int) -> np.ndarray:
-    """Eigenvalues of the symmetric s of bandwidth b: its diagonal when b = 0."""
-    return np.diag(s) if b == 0 else np.linalg.eigvalsh(s)
+from .linalg import SymOperator, solve_lyapunov, sym
 
 
 class ManifoldSpec:
     """Validated pair (A, J) defining iSt_{A,J}(k, n).
 
-    Construction symmetrizes the inputs, checks J^2 = I_k, checks that A is
-    nonsingular, and checks the nonemptiness inequalities
-    i_+(J) <= i_+(A), i_-(J) <= i_-(A).  ``A`` is the dense array; A is
-    applied through a :class:`SymOperator`, banded or dense by its bandwidth,
-    so a diagonal A (bandwidth 0) is a row scaling.  A diagonal A or J gives
-    its inertia from its diagonal, and ``ManifoldSpec(j, j)`` (the
-    J-orthogonal group) keeps one array for both.
+    A and J are held as :class:`SymOperator` s, which symmetrize them; ``A``
+    and ``J`` are the operators' read-only arrays.  Construction checks
+    J^2 = I_k, checks that A is nonsingular, and checks the nonemptiness
+    inequalities i_+(J) <= i_+(A), i_-(J) <= i_-(A), with each inertia from
+    :meth:`SymOperator.inertia`, so a diagonal A or J gives its inertia from
+    its diagonal.  A is applied banded or dense by its bandwidth, so a
+    diagonal A (bandwidth 0) is a row scaling.  ``ManifoldSpec(j, j)`` (the
+    J-orthogonal group) keeps one operator for both.
     """
 
     def __init__(self, a: np.ndarray, j: np.ndarray):
@@ -59,17 +48,17 @@ class ManifoldSpec:
         self.k = j.shape[0]
         if self.k > self.n:
             raise ValueError(f"J order {self.k} exceeds A order {self.n}")
-        self.A = _readonly_sym(a)
-        self.J = self.A if same else _readonly_sym(j)
+        self._a = SymOperator(a)
+        self._j = self._a if same else SymOperator(j)
+        self.A, self.J = self._a.dense, self._j.dense
         jj_err = np.linalg.norm(self.J @ self.J - np.eye(self.k))
         if jj_err > 1e-12 * self.k:
             raise ValueError(f"J^2 != I_k (||J^2 - I||_F = {jj_err:.3e})")
 
-        self._a = SymOperator(self.A)
-        self.inertia_a = sign_counts(_eigvals(self.A, self._a.bandwidth))
+        self.inertia_a = self._a.inertia()
         if self.inertia_a.n_zero > 0:
             raise ValueError("A is singular (zero eigenvalue within tolerance)")
-        self.inertia_j = sign_counts(_eigvals(self.J, bandwidth(self.J)))
+        self.inertia_j = self._j.inertia()
         if self.inertia_j.n_zero > 0:
             raise ValueError("J is singular, cannot satisfy J^2 = I")
         if self.inertia_j.n_pos > self.inertia_a.n_pos:
@@ -117,7 +106,7 @@ class MetricSpec:
 
     @staticmethod
     def weighted(m: np.ndarray) -> "MetricSpec":
-        return MetricSpec.of_operator(SymOperator(sym(m)))
+        return MetricSpec.of_operator(SymOperator(m))
 
     @staticmethod
     def of_operator(m: SymOperator) -> "MetricSpec":

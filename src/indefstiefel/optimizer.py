@@ -11,10 +11,11 @@ built from W = X_j - X_{j-1} and Y = Z_j - Z_{j-1}, clamped to
 where c_j is the Zhang-Hager nonmonotone reference value updated by
 q_{j+1} = alpha q_j + 1, c_{j+1} = (alpha q_j c_j + f(X_{j+1})) / q_{j+1}.
 A step at which the retraction is undefined simply fails the condition and
-backtracks.  Iteration stops when the metric gradient norm falls below
-rstop times its initial value.  An end point whose feasibility
-||X^T A X - J||_F exceeds the start tolerance 1e-8 ||J||_F is reported as
-"infeasible", whatever stopped the loop.
+backtracks.  :func:`solve` keeps the loop's state (X_j, A X_j, Z_j, q_j, c_j,
+gamma_j, the f-evaluation count) in locals.  Iteration stops when the metric
+gradient norm falls below rstop times its initial value.  An end point whose
+feasibility ||X^T A X - J||_F exceeds the start tolerance 1e-8 ||J||_F is
+reported as "infeasible", whatever stopped the loop.
 """
 
 from __future__ import annotations
@@ -44,28 +45,6 @@ class SolverConfig:
     rstop: float = 1e-9         # relative gradient-norm stopping factor
     max_iter: int = 20000
     max_backtracks: int = 60
-
-
-@dataclass
-class SolverState:
-    """Mutable loop state of :func:`solve`, read and advanced by
-    :func:`nonmonotone_search`."""
-
-    j: int
-    x: np.ndarray
-    ax: np.ndarray         # A x, computed once per accepted point
-    z: np.ndarray          # search direction, -grad f(x)
-    gradnorm: float        # metric norm of grad f(x)
-    q: float
-    c: float
-    gamma: float
-    feval: int = 0
-    prev_x: np.ndarray | None = None
-    prev_z: np.ndarray | None = None
-
-
-class LineSearchStalled(RuntimeError):
-    """Backtracking exhausted max_backtracks without an acceptable step."""
 
 
 @dataclass
@@ -134,29 +113,30 @@ def bb_trial_step(w: np.ndarray, y: np.ndarray, j: int, config: SolverConfig) ->
     return float(min(max(gamma, config.gamma_min), config.gamma_max))
 
 
-def nonmonotone_search(problem, state: SolverState, config: SolverConfig):
-    """Backtrack from state.gamma until the nonmonotone condition holds.
+def nonmonotone_search(problem, curve: CayleyCurve, gamma: float, c: float, gradnorm: float,
+                       config: SolverConfig):
+    """Backtrack along ``curve`` from gamma until the nonmonotone condition
+    against the reference value c holds, where gradnorm is the metric norm
+    of the gradient that the curve's direction negates.
 
-    Returns (tau, x_next, f_next, l).  Retraction breakdown at a trial step
-    counts as a failed condition (no f evaluation).  Raises LineSearchStalled
-    after max_backtracks rejections.
+    Returns (tau, x_next, f_next, evals), evals counting the f evaluations.
+    Retraction breakdown at a trial step counts as a failed condition (no f
+    evaluation).  After max_backtracks rejections it returns
+    (None, None, None, evals): the search stalled.
     """
-    curve = CayleyCurve(problem.spec, state.x, state.z, state.ax)
-    dir_deriv = -state.gradnorm**2  # g_X(grad f, Z) with Z = -grad f
+    dir_deriv = -gradnorm**2  # g_X(grad f, Z) with Z = -grad f
+    evals = 0
     for ell in range(config.max_backtracks + 1):
-        tau = state.gamma * config.delta**ell
+        tau = gamma * config.delta**ell
         try:
             x_trial = curve.at(tau)
         except WellDefinednessError:
             continue
         f_trial = problem.f(x_trial)
-        state.feval += 1
-        if f_trial <= state.c + config.beta * tau * dir_deriv:
-            return tau, x_trial, f_trial, ell
-    raise LineSearchStalled(
-        f"no acceptable step within {config.max_backtracks} backtracks "
-        f"(iteration {state.j}, gamma={state.gamma:.3e})"
-    )
+        evals += 1
+        if f_trial <= c + config.beta * tau * dir_deriv:
+            return tau, x_trial, f_trial, evals
+    return None, None, None, evals
 
 
 def solve(problem, x0: np.ndarray, config: SolverConfig | None = None) -> RunRecord:
@@ -164,74 +144,62 @@ def solve(problem, x0: np.ndarray, config: SolverConfig | None = None) -> RunRec
     if config is None:
         config = SolverConfig()
     spec, metric = problem.spec, problem.metric
-    x0 = np.asarray(x0, dtype=float)
+    x = np.asarray(x0, dtype=float)
 
     feas_tol = 1e-8 * np.linalg.norm(spec.J)
-    ax0 = spec.apply_a(x0)
-    feas0 = feasibility(spec, x0, ax0)
+    ax = spec.apply_a(x)  # A x, computed once per accepted point
+    feas0 = feasibility(spec, x, ax)
     if feas0 > feas_tol:
         raise ValueError(
             f"infeasible starting point: ||X0^T A X0 - J||_F = {feas0:.3e}"
         )
 
     t_start = time.perf_counter()
-    f0 = problem.f(x0)
+    f0 = problem.f(x)
     if not np.isfinite(f0):
         raise ValueError(f"objective is not finite at the starting point ({f0})")
-    grad = riemannian_gradient(spec, metric, x0, problem.metric_grad(x0), ax0)
-    gn0 = metric_norm(metric, x0, grad)
-
-    state = SolverState(
-        j=0, x=x0, ax=ax0, z=-grad, gradnorm=gn0,
-        q=1.0, c=f0, gamma=config.gamma0, feval=1,
-    )
+    grad = riemannian_gradient(spec, metric, x, problem.metric_grad(x), ax)
+    gn0 = gradnorm = metric_norm(metric, x, grad)
+    z = -grad  # search direction
+    q, c, gamma, feval = 1.0, f0, config.gamma0, 1
+    prev_x = prev_z = None
     rows = [(0, f0, gn0, 0.0, feas0, time.perf_counter() - t_start)]
-    status = "max_iter"
 
     while True:
-        if state.gradnorm <= config.rstop * gn0:
+        j = len(rows) - 1
+        if gradnorm <= config.rstop * gn0:
             status = "converged"
             break
-        if state.j >= config.max_iter:
+        if j >= config.max_iter:
             status = "max_iter"
             break
 
-        if state.j > 0:
-            state.gamma = bb_trial_step(
-                state.x - state.prev_x, state.z - state.prev_z, state.j, config
-            )
-
-        try:
-            tau, x_next, f_next, _ = nonmonotone_search(problem, state, config)
-        except LineSearchStalled:
+        if j > 0:
+            gamma = bb_trial_step(x - prev_x, z - prev_z, j, config)
+        curve = CayleyCurve(spec, x, z, ax)
+        tau, x_next, f_next, evals = nonmonotone_search(problem, curve, gamma, c, gradnorm, config)
+        feval += evals
+        if tau is None:
             status = "stalled"
             break
         if not np.isfinite(f_next):
-            raise ValueError(f"objective is not finite at iteration {state.j + 1}")
+            raise ValueError(f"objective is not finite at iteration {j + 1}")
 
-        q_next = config.alpha * state.q + 1.0
-        state.c = (config.alpha * state.q * state.c + f_next) / q_next
-        state.q = q_next
-        state.prev_x, state.prev_z = state.x, state.z
-        state.x = x_next
-        state.ax = spec.apply_a(x_next)
-        state.j += 1
+        q_next = config.alpha * q + 1.0
+        c = (config.alpha * q * c + f_next) / q_next
+        q = q_next
+        prev_x, prev_z = x, z
+        x = x_next
+        ax = spec.apply_a(x)
 
-        grad = riemannian_gradient(spec, metric, x_next, problem.metric_grad(x_next), state.ax)
-        state.gradnorm = metric_norm(metric, x_next, grad)
-        state.z = -grad
+        grad = riemannian_gradient(spec, metric, x, problem.metric_grad(x), ax)
+        gradnorm = metric_norm(metric, x, grad)
+        z = -grad
         rows.append(
-            (state.j, f_next, state.gradnorm, tau, feasibility(spec, x_next, state.ax),
-             time.perf_counter() - t_start)
+            (j + 1, f_next, gradnorm, tau, feasibility(spec, x, ax), time.perf_counter() - t_start)
         )
 
     if rows[-1][4] > feas_tol:
         status = "infeasible"
-    return RunRecord(
-        status=status,
-        x=state.x,
-        rows=rows,
-        n_iter=state.j,
-        n_feval=state.feval,
-        cpu_s=time.perf_counter() - t_start,
-    )
+    return RunRecord(status=status, x=x, rows=rows, n_iter=len(rows) - 1, n_feval=feval,
+                     cpu_s=time.perf_counter() - t_start)

@@ -86,10 +86,10 @@ def trace_min_problem(m: np.ndarray, a: np.ndarray, j: np.ndarray, metric: str =
 
     M must be symmetric positive definite (it is the constant objective
     Hessian, and the preferred metric).  The objective and the metric share
-    one operator for M, banded or dense by its bandwidth.  Under M_X = M the
-    gradient M^{-1} 2 M X is 2 X, so the solver never calls egrad.
+    one operator for M, banded or dense by its bandwidth, and ``pencil_m``
+    is its read-only array.  Under M_X = M the gradient M^{-1} 2 M X is 2 X,
+    so the solver never calls egrad.
     """
-    m = sym(m)
     spec = ManifoldSpec(a, j)
     m_op = SymOperator(m)
 
@@ -100,7 +100,7 @@ def trace_min_problem(m: np.ndarray, a: np.ndarray, j: np.ndarray, metric: str =
         return 2.0 * (m_op @ x)
 
     met, grad = _metric_for(metric, m_op, egrad, lambda x: 2.0 * x)
-    return Problem(spec=spec, metric=met, f=f, egrad=egrad, pencil_m=m, metric_grad=grad)
+    return Problem(spec=spec, metric=met, f=f, egrad=egrad, pencil_m=m_op.dense, metric_grad=grad)
 
 
 def extract_eigenpairs(problem: Problem, x: np.ndarray) -> PencilEigResult:
@@ -145,11 +145,11 @@ def lrevp_problem(k_mat: np.ndarray, m_mat: np.ndarray, k: int, metric: str = "h
     +-sqrt(eig(K M)); minimizing tr(X^T H X) with X^T G X = I_k recovers the
     k smallest positive ones.  The metric choice "hessian" is M_X = H.
     """
-    k_mat = sym(np.asarray(k_mat, dtype=float))
-    m_mat = sym(np.asarray(m_mat, dtype=float))
+    k_mat = np.asarray(k_mat, dtype=float)
+    m_mat = np.asarray(m_mat, dtype=float)
+    if k_mat.ndim != 2 or k_mat.shape != m_mat.shape or k_mat.shape[0] != k_mat.shape[1]:
+        raise ValueError(f"K and M must be square of one order, got {k_mat.shape} and {m_mat.shape}")
     p = k_mat.shape[0]
-    if m_mat.shape[0] != p:
-        raise ValueError(f"K and M orders differ: {p} vs {m_mat.shape[0]}")
     if not 1 <= k <= p:
         raise ValueError(f"need 1 <= k <= p, got k={k}, p={p}")
     h = np.zeros((2 * p, 2 * p))
@@ -200,7 +200,7 @@ def matrix_equation_problem(g: np.ndarray, b: np.ndarray, spec: ManifoldSpec, me
             x_ls = met.apply_inverse(x, g.T @ b)
         return 2.0 * (x - x_ls)
 
-    met, grad = _metric_for(metric, SymOperator(sym(g.T @ g)), egrad, closed_form)
+    met, grad = _metric_for(metric, SymOperator(g.T @ g), egrad, closed_form)
     return Problem(spec=spec, metric=met, f=f, egrad=egrad, metric_grad=grad)
 
 

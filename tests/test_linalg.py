@@ -10,7 +10,7 @@ import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from indefstiefel import read_mtx, signature
+from indefstiefel import linalg, read_mtx, signature
 from indefstiefel import test_matrix as gallery
 from indefstiefel.linalg import (
     Inertia,
@@ -262,6 +262,22 @@ def test_operator_form_follows_order_and_bandwidth():
         x = rng.standard_normal((s.shape[0], 3))
         if not banded:
             assert np.array_equal(op @ x, s @ x)
+
+
+def test_operator_forms_agree_on_asymmetric_input(monkeypatch):
+    # the banded form reads the upper band and the bandwidth scan the lower
+    # triangle: both forms must apply the one matrix sym(s)
+    n = 200
+    s = gallery("tridiag", n)
+    s[np.arange(1, n), np.arange(n - 1)] += 1e-3
+    x = np.random.default_rng(9).standard_normal((n, 5))
+    banded = SymOperator(s)
+    monkeypatch.setattr(linalg, "_banded", lambda n, b: False)
+    dense = SymOperator(s)
+    assert banded.banded and not dense.banded
+    assert not dense.dense.flags.writeable and np.array_equal(dense.dense, sym(s))
+    for op in (banded, dense):
+        assert _rel(op @ x, sym(s) @ x) <= 1e-13
 
 
 def test_checked_solve_matches_dense():

@@ -214,6 +214,26 @@ def test_stall_status_when_search_cannot_move():
     assert record.n_iter == 0
 
 
+@pytest.mark.parametrize("status", ["converged", "max_iter", "stalled"])
+def test_feval_count_is_every_objective_call(status):
+    # the stalled run evaluates and rejects the pinned trial steps 1e5 and
+    # 5e4 at iteration 0: those calls count too
+    problem = hyperbola_problem()
+    x0 = np.array([[np.cosh(1.0)], [np.sinh(1.0)]])
+    config = {
+        "converged": SolverConfig(),
+        "max_iter": SolverConfig(max_iter=3, rstop=1e-16),
+        "stalled": SolverConfig(gamma0=1e5, gamma_min=1e5, gamma_max=1e5, max_backtracks=1),
+    }[status]
+    f, calls = problem.f, []
+    problem.f = lambda x: calls.append(x) or f(x)
+    record = solve(problem, x0, config)
+    assert record.status == status
+    assert record.n_feval == len(calls)
+    if status == "stalled":
+        assert record.n_iter == 0 and len(calls) == 3
+
+
 def test_drifting_end_point_reported_infeasible(monkeypatch):
     # every trial point is pushed off the manifold by a fixed offset: the
     # gradient test is still met, but the end point must not pass as converged

@@ -334,6 +334,8 @@ def test_lrevp_rejects_indefinite_k(metric):
 def test_lrevp_validates_shapes():
     with pytest.raises(ValueError):
         lrevp_problem(np.eye(3), np.eye(4), 1)
+    with pytest.raises(ValueError, match="K and M must be square"):
+        lrevp_problem(np.eye(3, 4), np.eye(3), 1)
     with pytest.raises(ValueError):
         lrevp_problem(np.eye(3), np.eye(3), 4)
 
