@@ -344,7 +344,7 @@ def _verify_checks():
 
     record = solve(problem, x0)
     kp, km, _ = problem.spec.inertia_j
-    _, _, f_star = pencil_oracle(problem.pencil_m, problem.spec.A, kp, km)
+    _, _, f_star = pencil_oracle(problem.pencil_m.dense, problem.spec.A, kp, km)
     rel = abs(problem.f(record.x) - f_star) / abs(f_star)
     yield (
         "solver matches the dense pencil oracle",

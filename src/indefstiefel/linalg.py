@@ -75,12 +75,12 @@ class SymOperator:
 
     Construction is the one place that symmetrizes an input matrix: both
     forms read S, which equals s bit for bit when s is exactly symmetric.
-    The banded form keeps the 2b + 1 diagonals: ``S @ x`` scales the rows
-    when b = 0 and is scipy's compiled DIA product otherwise; the factor is
-    LAPACK's LDL^T of a tridiagonal matrix when b = 1 and a banded Cholesky
-    factor otherwise.  The dense form keeps the array: ``S @ x`` is BLAS and
-    the Cholesky factor is n x n.  ``dense`` is S, read-only, either way, and
-    ``banded`` tells the form.
+    The banded form keeps one (2b + 1) x n array of S's diagonals, in DIA
+    row order: ``S @ x`` scales the rows when b = 0 and is scipy's compiled
+    DIA product otherwise; the factor is LAPACK's LDL^T of a tridiagonal
+    matrix when b = 1 and a banded Cholesky factor otherwise.  The dense form
+    keeps the array: ``S @ x`` is BLAS and the Cholesky factor is n x n.
+    ``dense`` is S, read-only, either way, and ``banded`` tells the form.
     """
 
     def __init__(self, s: np.ndarray):
@@ -89,18 +89,15 @@ class SymOperator:
         self.bandwidth = b = bandwidth(s)
         self.banded = _banded(s.shape[0], b)
         if self.banded:
-            # row b - d holds diagonal d, shifted right by d
-            self._ab = np.zeros((b + 1, s.shape[0]))
-            for d in range(b + 1):
-                self._ab[b - d, d:] = np.diagonal(s, d)
-        if self.banded and b:
-            # offsets 0, +1, -1, +2, -2, ...: the kernel sums in this order
-            data = np.zeros((2 * b + 1, s.shape[0]))
-            data[0] = self._ab[b]
+            # row 2d - 1 holds offset +d shifted right by d, row 2d offset -d;
+            # scipy's DIA kernel sums the rows in this order
+            self._bands = np.zeros((2 * b + 1, s.shape[0]))
+            self._bands[0] = np.diagonal(s)
             for d in range(1, b + 1):
-                data[2 * d - 1, d:] = data[2 * d, :-d] = self._ab[b - d, d:]
+                self._bands[2 * d - 1, d:] = self._bands[2 * d, :-d] = np.diagonal(s, d)
+        if self.banded and b:
             offsets = [0] + [o for d in range(1, b + 1) for o in (d, -d)]
-            self._dia = scipy.sparse.dia_array((data, offsets), shape=s.shape)
+            self._dia = scipy.sparse.dia_array((self._bands, offsets), shape=s.shape)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         """S x.  The banded form returns a C-ordered array with +0 where the
@@ -109,15 +106,15 @@ class SymOperator:
             return self.dense @ x
         if self.bandwidth:
             return self._dia @ x
-        d = self._ab[0] if np.ndim(x) == 1 else self._ab[0, :, None]
+        d = self._bands[0] if np.ndim(x) == 1 else self._bands[0, :, None]
         out = np.multiply(d, x, order="C")
         out += 0.0  # -0 becomes +0
         return out
 
     def inertia(self) -> Inertia:
         """Eigenvalue sign counts of S, from its diagonal when b = 0."""
-        return sign_counts(np.diag(self.dense) if self.bandwidth == 0
-                           else np.linalg.eigvalsh(self.dense))
+        diagonal = self.banded and self.bandwidth == 0  # dense only if _banded is replaced
+        return sign_counts(self._bands[0] if diagonal else np.linalg.eigvalsh(self.dense))
 
     def cho_solver(self) -> Callable[[np.ndarray], np.ndarray]:
         """y -> S^{-1} y through a factorization of S, computed here once;
@@ -127,12 +124,14 @@ class SymOperator:
             return partial(scipy.linalg.cho_solve, scipy.linalg.cho_factor(self.dense),
                            check_finite=False)
         if self.bandwidth == 1:
-            ab = np.asarray_chkfinite(self._ab)  # dpttrf lets a NaN through
-            d, e, info = dpttrf(ab[1], ab[0, 1:])
+            bands = np.asarray_chkfinite(self._bands)  # dpttrf lets a NaN through
+            d, e, info = dpttrf(bands[0], bands[1, 1:])
             if info != 0:
                 raise np.linalg.LinAlgError(f"{info}-th leading minor not positive definite")
             return lambda y: dpttrs(d, e, y)[0]
-        factor = (scipy.linalg.cholesky_banded(self._ab), False)
+        # LAPACK's upper band storage: offsets +b, ..., +1, 0
+        upper = self._bands[[*range(2 * self.bandwidth - 1, 0, -2), 0]]
+        factor = (scipy.linalg.cholesky_banded(upper), False)
         return partial(scipy.linalg.cho_solve_banded, factor, check_finite=False)
 
 

@@ -15,8 +15,7 @@ S = X^T A M_X^{-1} A X.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,32 +89,30 @@ class MetricSpec:
     """A tractable metric g_X(Z1, Z2) = tr(Z1^T M_X Z2).
 
     M_X = I when ``matrix`` is None; otherwise M_X = M constant, held as a
-    :class:`SymOperator` (banded or dense by its bandwidth) with its
-    factorization cached for applying M^{-1}: LDL^T when M is tridiagonal,
-    Cholesky otherwise.  The solver calls only
+    :class:`SymOperator` (banded or dense by its bandwidth) and factored at
+    construction, which raises ValueError unless M is positive definite:
+    LDL^T when M is tridiagonal, Cholesky otherwise.  The solver calls only
     :meth:`apply` and :meth:`apply_inverse`, so any object with those two
     methods can stand in for an X-dependent metric.
     """
 
     matrix: SymOperator | None = None
-    _solve: Callable | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.matrix is not None:
+            try:
+                object.__setattr__(self, "_solve", self.matrix.cho_solver())
+            except np.linalg.LinAlgError as exc:
+                raise ValueError("metric matrix is not positive definite") from exc
 
     @staticmethod
     def euclidean() -> "MetricSpec":
         return MetricSpec()
 
     @staticmethod
-    def weighted(m: np.ndarray) -> "MetricSpec":
-        return MetricSpec.of_operator(SymOperator(m))
-
-    @staticmethod
-    def of_operator(m: SymOperator) -> "MetricSpec":
-        """The weighted metric of an M already held as an operator."""
-        try:
-            solve = m.cho_solver()
-        except np.linalg.LinAlgError as exc:
-            raise ValueError("metric matrix is not positive definite") from exc
-        return MetricSpec(matrix=m, _solve=solve)
+    def weighted(m: np.ndarray | SymOperator) -> "MetricSpec":
+        """The metric M_X = M of an array or an operator M."""
+        return MetricSpec(m if isinstance(m, SymOperator) else SymOperator(m))
 
     def apply(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """M_X y at base point x."""
@@ -164,8 +161,8 @@ def _points(spec: ManifoldSpec, *selections) -> list[np.ndarray]:
         w, v = np.linalg.eigh(spec.A)
     else:
         # A's eigenvectors are unit vectors e_i: keep their indices i, and
-        # build only the columns picked below
-        a_diag = np.diag(spec.A)
+        # build only the columns picked below; A 1 is A's diagonal, exactly
+        a_diag = spec.apply_a(np.ones(spec.n))
         rows = np.argsort(a_diag, kind="stable")
         w = a_diag[rows]
     kp, km = spec.inertia_j.n_pos, spec.inertia_j.n_neg

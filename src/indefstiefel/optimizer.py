@@ -85,13 +85,8 @@ class RunRecord:
         }
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(",".join(HISTORY_COLUMNS) + "\n")
-            for row in self.rows:
-                fh.write(
-                    f"{int(row[0])},{row[1]:.17g},{row[2]:.17g},"
-                    f"{row[3]:.17g},{row[4]:.17g},{row[5]:.6f}\n"
-                )
+        np.savetxt(path, self.history(), fmt=("%d", "%.17g", "%.17g", "%.17g", "%.17g", "%.6f"),
+                   delimiter=",", header=",".join(HISTORY_COLUMNS), comments="")
 
 
 def bb_trial_step(w: np.ndarray, y: np.ndarray, j: int, config: SolverConfig) -> float:

@@ -34,7 +34,8 @@ class Problem:
     ``metric_grad`` maps X to M_X^{-1} egrad(X), the vector whose tangent
     projection is the Riemannian gradient; the factories give its closed
     form, and a Problem built without one applies the metric's inverse to
-    egrad.  ``pencil_m`` is the M of tr(X^T M X) for trace minimization,
+    egrad.  ``pencil_m`` is the M of tr(X^T M X) for trace minimization, the
+    operator that f, egrad and the metric share (``.dense`` is its array),
     whose pencil is (pencil_m, spec.A); None for least squares.
     """
 
@@ -42,7 +43,7 @@ class Problem:
     metric: MetricSpec
     f: Callable[[np.ndarray], float]
     egrad: Callable[[np.ndarray], np.ndarray]
-    pencil_m: np.ndarray | None = None
+    pencil_m: SymOperator | None = None
     metric_grad: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
@@ -75,7 +76,7 @@ def _metric_for(choice: str, hessian: SymOperator, egrad: Callable, closed_form:
     positive definite, so the objective is strictly convex."""
     if choice not in ("euclidean", "hessian"):
         raise ValueError(f"unknown metric choice {choice!r}")
-    weighted = MetricSpec.of_operator(hessian)
+    weighted = MetricSpec(hessian)
     if choice == "hessian":
         return weighted, closed_form
     return MetricSpec.euclidean(), egrad
@@ -85,12 +86,14 @@ def trace_min_problem(m: np.ndarray, a: np.ndarray, j: np.ndarray, metric: str =
     """min tr(X^T M X) on iSt_{A,J}; metric "hessian" takes M_X = M.
 
     M must be symmetric positive definite (it is the constant objective
-    Hessian, and the preferred metric).  The objective and the metric share
-    one operator for M, banded or dense by its bandwidth, and ``pencil_m``
-    is its read-only array.  Under M_X = M the gradient M^{-1} 2 M X is 2 X,
-    so the solver never calls egrad.
+    Hessian, and the preferred metric) and of A's order.  The objective, the
+    metric and ``pencil_m`` share one operator for M, banded or dense by its
+    bandwidth.  Under M_X = M the gradient M^{-1} 2 M X is 2 X, so the solver
+    never calls egrad.
     """
     spec = ManifoldSpec(a, j)
+    if np.shape(m) != (spec.n, spec.n):
+        raise ValueError(f"M is {np.shape(m)}, but A has order {spec.n}")
     m_op = SymOperator(m)
 
     def f(x: np.ndarray) -> float:
@@ -100,7 +103,7 @@ def trace_min_problem(m: np.ndarray, a: np.ndarray, j: np.ndarray, metric: str =
         return 2.0 * (m_op @ x)
 
     met, grad = _metric_for(metric, m_op, egrad, lambda x: 2.0 * x)
-    return Problem(spec=spec, metric=met, f=f, egrad=egrad, pencil_m=m_op.dense, metric_grad=grad)
+    return Problem(spec=spec, metric=met, f=f, egrad=egrad, pencil_m=m_op, metric_grad=grad)
 
 
 def extract_eigenpairs(problem: Problem, x: np.ndarray) -> PencilEigResult:
@@ -111,7 +114,8 @@ def extract_eigenpairs(problem: Problem, x: np.ndarray) -> PencilEigResult:
     block gives the positive eigenvalue estimates, the trailing block
     negated gives the negative ones, and the eigenvector rotations applied
     to X's columns give pencil eigenvector estimates.  Any other J (a
-    rotated signature, say) mixes the blocks, so it is rejected.
+    rotated signature, say) mixes the blocks, so it is rejected.  M and A
+    are applied through the problem's operators, banded when narrow.
     """
     m, spec = problem.pencil_m, problem.spec
     if m is None:
@@ -125,10 +129,7 @@ def extract_eigenpairs(problem: Problem, x: np.ndarray) -> PencilEigResult:
     wm, qm = np.linalg.eigh(b[k_p:, k_p:])          # ascending; block is -L-
     lam_plus = wp
     lam_minus = -wm                                  # descending, nearest zero first
-    rot = np.zeros((k_p + k_m, k_p + k_m))
-    rot[:k_p, :k_p] = qp
-    rot[k_p:, k_p:] = qm
-    v = x @ rot
+    v = x @ scipy.linalg.block_diag(qp, qm)
     d = np.concatenate([lam_plus, lam_minus])
     avd = spec.apply_a(v) * d
     resid = m @ v - avd

@@ -7,7 +7,8 @@ import pytest
 import scipy.linalg
 
 from indefstiefel import ManifoldSpec, MetricSpec, feasibility, make_point, signature
-from indefstiefel.linalg import random_rotation, solve_lyapunov, sym
+from indefstiefel import test_matrix as gallery
+from indefstiefel.linalg import SymOperator, random_rotation, solve_lyapunov, sym
 from indefstiefel.manifold import metric_inner, metric_norm, riemannian_gradient
 
 from conftest import perturbed_point, pointwise_metric, random_indefinite, random_spd, random_spec
@@ -269,6 +270,18 @@ def test_metric_kinds():
 def test_weighted_metric_requires_spd():
     with pytest.raises(ValueError):
         MetricSpec.weighted(np.diag([1.0, -1.0]))
+
+
+@pytest.mark.parametrize("form", ["dense", "tridiagonal"])
+def test_metric_built_from_an_operator_equals_weighted(form):
+    rng = np.random.default_rng(11)
+    n = 200
+    m = random_spd(rng, n) if form == "dense" else gallery("tridiag", n)
+    y = rng.standard_normal((n, 3))
+    direct = MetricSpec(matrix=SymOperator(m))
+    assert np.array_equal(direct.apply_inverse(None, y), MetricSpec.weighted(m).apply_inverse(None, y))
+    with pytest.raises(ValueError, match="not positive definite"):
+        MetricSpec(matrix=SymOperator(np.diag([1.0, -1.0])))
 
 
 def test_metric_norm_consistency():

@@ -308,6 +308,12 @@ def test_record_csv_and_json(tmp_path):
 
     # the summary is what the command line writes to summary.json
     assert json.loads(json.dumps(record.summary())) == record.summary()
+    # the bytes of the row format, non-finite, signed-zero and tiny values too
+    record.rows.append([record.n_iter + 1, float("nan"), float("inf"), -0.0, 1e-300, 0.25])
+    record.to_csv(csv_path)
+    rows = "".join(f"{int(r[0])},{r[1]:.17g},{r[2]:.17g},{r[3]:.17g},{r[4]:.17g},{r[5]:.6f}\n"
+                   for r in record.rows)
+    assert csv_path.read_bytes() == (lines[0] + "\n" + rows).encode()
 
 
 # -------------------------------------------------------------- gradient check

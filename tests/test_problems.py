@@ -84,7 +84,7 @@ def test_trace_min_problem_cost_and_gradient():
     x = make_point(problem.spec)
     assert problem.f(x) == pytest.approx(np.trace(x.T @ m @ x), rel=1e-12)
     assert np.allclose(problem.egrad(x), 2 * m @ x)
-    assert np.array_equal(problem.pencil_m, m)
+    assert np.array_equal(problem.pencil_m.dense, m)
 
 
 @pytest.mark.parametrize("factory", ["tracemin", "procrustes", "matexeq", "matexeq_tall"])
@@ -224,6 +224,31 @@ def test_trace_min_rejects_indefinite_banded_m(metric):
         MetricSpec.weighted(m)
 
 
+def test_trace_min_rejects_m_of_another_order():
+    a = np.diag([1.0, 2.0, -1.0, -2.0])
+    with pytest.raises(ValueError, match="M is"):
+        trace_min_problem(np.eye(5), a, signature(1, 1))
+
+
+def test_banded_pencil_is_never_read_as_a_dense_array():
+    # a diagonal A and a tridiagonal M are held banded: set-up aside, the
+    # start, the solve and the eigenpairs go through their operators alone
+    n = 200
+    m = gallery("tridiag", n)
+    a = np.diag(np.concatenate([np.arange(1.0, 101.0), -np.arange(1.0, 101.0)]))
+    reference = trace_min_problem(m, a, signature(3, 2))
+    problem = trace_min_problem(m, a, signature(3, 2))
+    problem.spec.A = problem.spec._a.dense = problem.pencil_m.dense = None
+    config = SolverConfig(max_iter=40)
+    runs = []
+    for p in (reference, problem):
+        record = solve(p, make_point(p.spec), config)
+        runs.append((record.x, extract_eigenpairs(p, record.x).v))
+    assert record.n_iter > 0
+    for got, want in zip(runs[1], runs[0]):
+        assert np.array_equal(got, want)
+
+
 def test_trace_min_objective_bounded_by_oracle():
     rng = np.random.default_rng(2)
     m = random_spd(rng, 8)
@@ -307,7 +332,7 @@ def test_lrevp_diagonal_case_matches_structured_oracle():
     # cross-check via the dense pencil oracle on (H, G)
     h = scipy.linalg.block_diag(k_mat, m_mat)
     g = np.kron([[0.0, 1.0], [1.0, 0.0]], np.eye(2))
-    assert np.array_equal(problem.pencil_m, h) and np.array_equal(problem.spec.A, g)
+    assert np.array_equal(problem.pencil_m.dense, h) and np.array_equal(problem.spec.A, g)
     _, _, f_star = pencil_oracle(h, g, 1, 0)
     assert record.obj == pytest.approx(f_star, rel=1e-12)
 
