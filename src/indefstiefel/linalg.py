@@ -9,7 +9,7 @@ factors such a matrix in the form its bandwidth makes cheaper.
 from __future__ import annotations
 
 import math
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -28,33 +28,41 @@ class Inertia(NamedTuple):
     n_zero: int
 
 
-def sym(omega: np.ndarray) -> np.ndarray:
-    """Symmetric part (omega + omega^T)/2 of a square matrix."""
+def _square(omega: np.ndarray) -> np.ndarray:
+    """omega as a float array; raises ValueError unless it is a square matrix."""
     omega = np.asarray(omega, dtype=float)
     if omega.ndim != 2 or omega.shape[0] != omega.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {omega.shape}")
+    return omega
+
+
+def sym(omega: np.ndarray) -> np.ndarray:
+    """Symmetric part (omega + omega^T)/2 of a square matrix."""
+    omega = _square(omega)
     return 0.5 * (omega + omega.T)
 
 
 def skew(omega: np.ndarray) -> np.ndarray:
     """Skew-symmetric part (omega - omega^T)/2 of a square matrix."""
-    omega = np.asarray(omega, dtype=float)
-    if omega.ndim != 2 or omega.shape[0] != omega.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {omega.shape}")
+    omega = _square(omega)
     return 0.5 * (omega - omega.T)
 
 
 def bandwidth(s: np.ndarray) -> int:
-    """Bandwidth of a symmetric matrix: the largest i - j with S[i, j] != 0.
+    """Bandwidth of a square matrix: the largest |i - j| with S[i, j] != 0.
 
-    The corner entry S[n-1, 0] settles a dense matrix at once; otherwise one
-    vectorized pass finds the first nonzero of each row.  An all-zero row
-    counts as full width, which only overstates the band.
+    Both triangles are scanned, so for any s the value bounds the bandwidth
+    of sym(s) from above, and for a symmetric s it is that bandwidth.  A
+    nonzero corner entry settles a dense matrix at once; otherwise one
+    ``s != 0`` mask gives the first nonzero of each row and of each column.
+    An all-zero row or column counts as full width, which only overstates
+    the band.
     """
     n = s.shape[0]
-    if n < 2 or s[n - 1, 0] != 0:
+    if n < 2 or s[n - 1, 0] != 0 or s[0, n - 1] != 0:
         return max(n - 1, 0)
-    first = np.argmax(s != 0, axis=1)
+    nonzero = s != 0
+    first = np.minimum(np.argmax(nonzero, axis=1), np.argmax(nonzero, axis=0))
     return int(np.max(np.arange(n) - first))
 
 
@@ -71,33 +79,58 @@ def _banded(n: int, b: int) -> bool:
 
 class SymOperator:
     """The symmetric matrix S = sym(s), applied and factored in one of two
-    forms chosen from its order n and bandwidth b alone.
+    forms chosen from the order n and the bandwidth b of s alone.
 
-    Construction is the one place that symmetrizes an input matrix: both
-    forms read S, which equals s bit for bit when s is exactly symmetric.
-    The banded form keeps one (2b + 1) x n array of S's diagonals, in DIA
-    row order: ``S @ x`` scales the rows when b = 0 and is scipy's compiled
-    DIA product otherwise; the factor is LAPACK's LDL^T of a tridiagonal
-    matrix when b = 1 and a banded Cholesky factor otherwise.  The dense form
-    keeps the array: ``S @ x`` is BLAS and the Cholesky factor is n x n.
-    ``dense`` is S, read-only, either way, and ``banded`` tells the form.
+    Construction is the one place that symmetrizes an input matrix.  The
+    banded form reads S's diagonals straight from s, each as
+    ``0.5 * (s_d + s_-d)``, the expression ``sym`` evaluates entry for
+    entry, and trims from b the outer diagonals of S that are all zero (an
+    antisymmetric part of s that cancels).  It keeps one (2b + 1) x n array
+    of them, in DIA row order: ``S @ x`` scales the rows when b = 0 and is
+    scipy's compiled DIA product otherwise; the factor is LAPACK's LDL^T of
+    a tridiagonal matrix when b = 1 and a banded Cholesky factor otherwise.
+    The dense form keeps S = sym(s) as an array, with b that of S: ``S @ x``
+    is BLAS and the Cholesky factor is n x n.  ``dense`` is S, read-only,
+    either way.  The banded form builds it on first read, with +0 off the
+    band: bitwise sym(s) wherever s holds +0 there, as every ``test_matrix``
+    and diagonal input does.  ``banded`` tells the form.
     """
 
     def __init__(self, s: np.ndarray):
-        self.dense = s = sym(s)
-        s.setflags(write=False)
-        self.bandwidth = b = bandwidth(s)
-        self.banded = _banded(s.shape[0], b)
-        if self.banded:
-            # row 2d - 1 holds offset +d shifted right by d, row 2d offset -d;
-            # scipy's DIA kernel sums the rows in this order
-            self._bands = np.zeros((2 * b + 1, s.shape[0]))
-            self._bands[0] = np.diagonal(s)
-            for d in range(1, b + 1):
-                self._bands[2 * d - 1, d:] = self._bands[2 * d, :-d] = np.diagonal(s, d)
-        if self.banded and b:
+        s = _square(s)
+        n, b = s.shape[0], bandwidth(s)
+        self.banded = _banded(n, b)
+        if not self.banded:
+            self.dense = s = sym(s)
+            s.setflags(write=False)
+            self.bandwidth = bandwidth(s)
+            return
+        diagonals = [0.5 * (np.diagonal(s, d) + np.diagonal(s, -d)) for d in range(b + 1)]
+        while b and not diagonals[b].any():
+            b -= 1
+        self.bandwidth = b
+        # row 2d - 1 holds offset +d shifted right by d, row 2d offset -d;
+        # scipy's DIA kernel sums the rows in this order
+        self._bands = np.zeros((2 * b + 1, n))
+        self._bands[0] = diagonals[0]
+        for d in range(1, b + 1):
+            self._bands[2 * d - 1, d:] = self._bands[2 * d, :-d] = diagonals[d]
+        if b:
             offsets = [0] + [o for d in range(1, b + 1) for o in (d, -d)]
-            self._dia = scipy.sparse.dia_array((self._bands, offsets), shape=s.shape)
+            self._dia = scipy.sparse.dia_array((self._bands, offsets), shape=(n, n))
+
+    @cached_property
+    def dense(self) -> np.ndarray:
+        """S, read-only, built from the band array on the banded form's first read."""
+        n = self._bands.shape[1]
+        s = np.zeros((n, n))
+        idx = np.arange(n)
+        s[idx, idx] = self._bands[0]
+        for d in range(1, self.bandwidth + 1):
+            s[idx[:-d], idx[d:]] = self._bands[2 * d - 1, d:]
+            s[idx[d:], idx[:-d]] = self._bands[2 * d, :-d]
+        s.setflags(write=False)
+        return s
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         """S x.  The banded form returns a C-ordered array with +0 where the
@@ -111,10 +144,19 @@ class SymOperator:
         out += 0.0  # -0 becomes +0
         return out
 
+    def _upper(self) -> np.ndarray:
+        """LAPACK's upper band storage of a banded S: offsets +b, ..., +1, 0."""
+        return self._bands[[*range(2 * self.bandwidth - 1, 0, -2), 0]]
+
     def inertia(self) -> Inertia:
-        """Eigenvalue sign counts of S, from its diagonal when b = 0."""
-        diagonal = self.banded and self.bandwidth == 0  # dense only if _banded is replaced
-        return sign_counts(self._bands[0] if diagonal else np.linalg.eigvalsh(self.dense))
+        """Eigenvalue sign counts of S: from its diagonal when b = 0, from
+        LAPACK's banded eigensolver (``eigvals_banded``) on the band array
+        when b >= 1, and from ``eigvalsh`` in the dense form."""
+        if not self.banded:
+            return sign_counts(np.linalg.eigvalsh(self.dense))
+        if self.bandwidth == 0:
+            return sign_counts(self._bands[0])
+        return sign_counts(scipy.linalg.eigvals_banded(self._upper()))
 
     def cho_solver(self) -> Callable[[np.ndarray], np.ndarray]:
         """y -> S^{-1} y through a factorization of S, computed here once;
@@ -129,9 +171,7 @@ class SymOperator:
             if info != 0:
                 raise np.linalg.LinAlgError(f"{info}-th leading minor not positive definite")
             return lambda y: dpttrs(d, e, y)[0]
-        # LAPACK's upper band storage: offsets +b, ..., +1, 0
-        upper = self._bands[[*range(2 * self.bandwidth - 1, 0, -2), 0]]
-        factor = (scipy.linalg.cholesky_banded(upper), False)
+        factor = (scipy.linalg.cholesky_banded(self._upper()), False)
         return partial(scipy.linalg.cho_solve_banded, factor, check_finite=False)
 
 
@@ -181,6 +221,12 @@ def test_matrix(name: str, n: int, param: float | None = None) -> np.ndarray:
     """
     if n < 1:
         raise ValueError(f"matrix order must be positive, got n={n}")
+    if name == "tridiag":
+        a = 2.0 * np.eye(n)
+        sub = np.arange(n - 1)
+        a[sub, sub + 1] = -1.0
+        a[sub + 1, sub] = -1.0
+        return a
     idx = np.arange(1, n + 1)
     i, j = np.meshgrid(idx, idx, indexing="ij")
     if name == "lehmer":
@@ -207,12 +253,6 @@ def test_matrix(name: str, n: int, param: float | None = None) -> np.ndarray:
         off = np.full((n, n), alpha)
         np.fill_diagonal(off, 1.0)
         return a + off
-    if name == "tridiag":
-        a = 2.0 * np.eye(n)
-        sub = np.arange(n - 1)
-        a[sub, sub + 1] = -1.0
-        a[sub + 1, sub] = -1.0
-        return a
     raise ValueError(f"unknown test matrix {name!r}")
 
 

@@ -25,14 +25,16 @@ from .linalg import SymOperator, solve_lyapunov, sym
 class ManifoldSpec:
     """Validated pair (A, J) defining iSt_{A,J}(k, n).
 
-    A and J are held as :class:`SymOperator` s, which symmetrize them; ``A``
-    and ``J`` are the operators' read-only arrays.  Construction checks
-    J^2 = I_k, checks that A is nonsingular, and checks the nonemptiness
-    inequalities i_+(J) <= i_+(A), i_-(J) <= i_-(A), with each inertia from
-    :meth:`SymOperator.inertia`, so a diagonal A or J gives its inertia from
-    its diagonal.  A is applied banded or dense by its bandwidth, so a
-    diagonal A (bandwidth 0) is a row scaling.  ``ManifoldSpec(j, j)`` (the
-    J-orthogonal group) keeps one operator for both.
+    A and J are held as :class:`SymOperator` s, which symmetrize them.
+    ``J`` is J's read-only array, read at construction (it is k x k); ``A``
+    is A's, which a banded A builds only when it is read.  Construction
+    checks J^2 = I_k, checks that A is nonsingular, and checks the
+    nonemptiness inequalities i_+(J) <= i_+(A), i_-(J) <= i_-(A), with each
+    inertia from :meth:`SymOperator.inertia`, so a banded A or J gives its
+    inertia from its band array.  A is applied banded or dense by its
+    bandwidth, so a diagonal A (bandwidth 0) is a row scaling.
+    ``ManifoldSpec(j, j)`` (the J-orthogonal group) keeps one operator for
+    both, and ``A is J``.
     """
 
     def __init__(self, a: np.ndarray, j: np.ndarray):
@@ -49,7 +51,7 @@ class ManifoldSpec:
             raise ValueError(f"J order {self.k} exceeds A order {self.n}")
         self._a = SymOperator(a)
         self._j = self._a if same else SymOperator(j)
-        self.A, self.J = self._a.dense, self._j.dense
+        self.J = self._j.dense
         jj_err = np.linalg.norm(self.J @ self.J - np.eye(self.k))
         if jj_err > 1e-12 * self.k:
             raise ValueError(f"J^2 != I_k (||J^2 - I||_F = {jj_err:.3e})")
@@ -70,6 +72,10 @@ class ManifoldSpec:
                 f"manifold is empty: i-(J) = {self.inertia_j.n_neg} exceeds "
                 f"i-(A) = {self.inertia_a.n_neg}"
             )
+
+    @property
+    def A(self) -> np.ndarray:
+        return self._a.dense
 
     def apply_a(self, x: np.ndarray) -> np.ndarray:
         """A x, equal bit for bit to ``A @ x`` for a diagonal or a dense A.

@@ -94,8 +94,9 @@ class CayleyCurve:
             self._xz = np.hstack([self.x, z])
         else:
             # assemble S_{X,Z} A from rank-k pieces (never an n^3 product)
-            xj = self.x @ spec.J
-            jxta = spec.J @ ax.T
+            # J applied through its operator: a row scaling for a diagonal J
+            xj = (spec._j @ self.x.T).T
+            jxta = spec._j @ ax.T
             self._sa = xj @ (core @ jxta) - xj @ az.T + z @ jxta
 
     def at(self, t: float) -> np.ndarray:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.io
@@ -116,6 +118,9 @@ def test_tridiag_small_values():
     assert np.array_equal(np.diag(t4), np.full(4, 2.0))
     assert np.array_equal(np.diag(t4, 1), np.full(3, -1.0))
     assert np.array_equal(np.diag(t4, 2), np.zeros(2))
+    t = gallery("tridiag", 300)
+    assert np.array_equal(t, 2.0 * np.eye(300) - np.eye(300, k=1) - np.eye(300, k=-1))
+    assert not np.signbit(t[t == 0]).any()  # +0 off the band
 
 
 def test_generator_entry_formulas():
@@ -278,6 +283,86 @@ def test_operator_forms_agree_on_asymmetric_input(monkeypatch):
     assert not dense.dense.flags.writeable and np.array_equal(dense.dense, sym(s))
     for op in (banded, dense):
         assert _rel(op @ x, sym(s) @ x) <= 1e-13
+
+
+def test_banded_operator_builds_no_n_by_n_array():
+    # the generator holds one n x n array (no index grids); the operator
+    # reads the diagonals, keeps the bands and builds S = sym(s) on demand
+    n = 2000
+    tracemalloc.start()
+    try:
+        s = gallery("tridiag", n)
+        generated = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        op = SymOperator(s)
+        kept, peak = (m - base for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert generated < 8 * n * n + 1e6
+    assert op.banded and op.bandwidth == 1 and "dense" not in vars(op)
+    assert kept < 1e6 and peak < 16e6
+
+
+def test_far_entry_in_either_triangle_makes_the_operator_dense():
+    n = 200
+    for i, j in ((0, n - 1), (0, n // 2), (n // 2, 0)):
+        s = gallery("tridiag", n)
+        s[i, j] = 1.0
+        op = SymOperator(s)
+        assert bandwidth(s) == bandwidth(sym(s)) == op.bandwidth == abs(i - j)
+        assert not op.banded and np.array_equal(op.dense, sym(s))
+
+
+def test_antisymmetric_outer_band_is_trimmed():
+    # band 3 of s cancels in sym(s): the scan of s bounds b by 3, and the
+    # operator keeps S's own bandwidth
+    n = 200
+    rng = np.random.default_rng(11)
+    s = gallery("tridiag", n)
+    v = rng.uniform(-1.0, 1.0, n - 3)
+    s += np.diag(v, 3) - np.diag(v, -3)
+    assert bandwidth(s) == 3 and bandwidth(sym(s)) == 1
+    op = SymOperator(s)
+    assert op.banded and op.bandwidth == 1
+    x = rng.standard_normal((n, 5))
+    assert (op @ x).tobytes() == banded_product(sym(s), 1, x).tobytes()
+    assert _rel(op @ x, sym(s) @ x) <= 1e-13
+    assert np.array_equal(op.dense, sym(s))
+
+
+def test_banded_dense_is_built_on_first_read_and_read_only():
+    rng = np.random.default_rng(12)
+    asymmetric = gallery("tridiag", 200)
+    asymmetric[np.arange(1, 200), np.arange(199)] += 1e-3
+    for s in (gallery("tridiag", 200), banded_spd(rng, 192, 3),
+              np.diag(rng.uniform(-2.0, 2.0, 50)), asymmetric):
+        op = SymOperator(s)
+        assert op.banded and "dense" not in vars(op)
+        dense = op.dense
+        assert op.dense is dense and not dense.flags.writeable
+        assert dense.tobytes() == sym(s).tobytes()  # bits, +0 off the band
+
+
+@pytest.mark.parametrize("b", [1, 2, 5])
+def test_banded_inertia_from_the_band_array(b, monkeypatch):
+    rng = np.random.default_rng(40 + b)
+    n = 400
+    s = np.diag(rng.uniform(-3.0, 3.0, n))
+    for d in range(1, b + 1):
+        v = rng.uniform(-1.0, 1.0, n - d)
+        s += np.diag(v, d) + np.diag(v, -d)
+    expected = sign_counts(np.linalg.eigvalsh(sym(s)))
+    assert expected.n_pos and expected.n_neg
+    op = SymOperator(s)
+    assert op.banded and op.bandwidth == b
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a banded inertia needs no dense eigensolve")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    assert op.inertia() == expected
+    assert "dense" not in vars(op)
 
 
 def test_checked_solve_matches_dense():

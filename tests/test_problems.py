@@ -231,22 +231,25 @@ def test_trace_min_rejects_m_of_another_order():
 
 
 def test_banded_pencil_is_never_read_as_a_dense_array():
-    # a diagonal A and a tridiagonal M are held banded: set-up aside, the
-    # start, the solve and the eigenpairs go through their operators alone
+    # a diagonal A and a tridiagonal M are held banded: set-up, the start,
+    # the solve and the eigenpairs go through their operators alone, and
+    # give the bits of a problem whose n x n arrays were built first
     n = 200
     m = gallery("tridiag", n)
     a = np.diag(np.concatenate([np.arange(1.0, 101.0), -np.arange(1.0, 101.0)]))
     reference = trace_min_problem(m, a, signature(3, 2))
+    assert np.array_equal(reference.spec.A, a) and np.array_equal(reference.pencil_m.dense, m)
     problem = trace_min_problem(m, a, signature(3, 2))
-    problem.spec.A = problem.spec._a.dense = problem.pencil_m.dense = None
     config = SolverConfig(max_iter=40)
     runs = []
     for p in (reference, problem):
         record = solve(p, make_point(p.spec), config)
         runs.append((record.x, extract_eigenpairs(p, record.x).v))
     assert record.n_iter > 0
+    for op in (problem.spec._a, problem.pencil_m):
+        assert op.banded and "dense" not in vars(op)
     for got, want in zip(runs[1], runs[0]):
-        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_trace_min_objective_bounded_by_oracle():
