@@ -8,11 +8,19 @@ times in turn, as the benchmark's set-up does, and prints the min and the
 median of the build times.  A benchmark run takes few builds, which cannot
 resolve a set-up of about a millisecond; run this in both checkouts, in
 alternation, to compare two versions.
+
+It then solves each start of each instance once and prints the minor page
+faults per solve, read from the process's own ``resource.getrusage`` around
+each solve.  glibc serves a block above its dynamic mmap threshold with a
+fresh mmap that is faulted in page by page, and the threshold rises only when
+the process frees a larger mmapped block: a set-up that frees different
+blocks can move the solve's fault count, and its time, on the same iterates.
 """
 
 from __future__ import annotations
 
 import argparse
+import resource
 import statistics
 import sys
 import time
@@ -29,9 +37,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     from run import pin_threads
     pin_threads()
+    from indefstiefel import solve
     from workloads import WORKLOADS
 
-    instances = WORKLOADS[args.workload].instances(0)
+    workload = WORKLOADS[args.workload]
+    instances = workload.instances(0)
     times = []
     for rep in range(args.reps):
         instance = instances[rep % len(instances)]
@@ -40,6 +50,16 @@ def main(argv=None) -> int:
         times.append(time.perf_counter() - t0)
     print(f"{args.workload}: {len(times)} builds, min {min(times) * 1e3:.3f} ms, "
           f"median {statistics.median(times) * 1e3:.3f} ms")
+
+    faults = []
+    for instance in instances:
+        problem = instance.factory()
+        for x0 in instance.starts(instance.start(problem)):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            solve(problem, x0, workload.config)
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    print(f"{args.workload}: {len(faults)} solves, minor page faults per solve: "
+          f"median {statistics.median(faults):g}, max {max(faults)}")
     return 0
 
 

@@ -29,10 +29,11 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy.linalg
 
 from .linalg import random_rotation, read_mtx, signature, test_matrix
 from .manifold import ManifoldSpec, _points, feasibility, make_point
-from .optimizer import RunRecord, SolverConfig, solve
+from .optimizer import SolverConfig, solve
 from .problems import (
     Problem,
     extract_eigenpairs,
@@ -221,11 +222,7 @@ def _build_problem(config: ExperimentConfig) -> tuple[Problem, np.ndarray, np.nd
     if config.problem == "procrustes":
         l = config.l if config.l is not None else n
         g = rng.standard_normal((l, n))
-        v1 = random_rotation(p, rng)
-        v2 = random_rotation(m, rng)
-        v = np.block(
-            [[v1, np.zeros((p, m))], [np.zeros((m, p)), v2]]
-        )
+        v = scipy.linalg.block_diag(random_rotation(p, rng), random_rotation(m, rng))
         b = g @ v
         problem = procrustes_problem(g, b, signature(p, m), metric=config.metric)
         return problem, np.eye(n), v
@@ -247,8 +244,9 @@ def _random_spd(p: int, rng: np.random.Generator) -> np.ndarray:
     return (q * rng.uniform(0.5, 10.0, p)) @ q.T
 
 
-def run_experiment(config: ExperimentConfig) -> tuple[RunRecord, Problem, dict]:
-    """Build and solve the configured problem; returns (record, problem, summary)."""
+def run_experiment(config: ExperimentConfig) -> dict:
+    """Build and solve the configured problem, write its artifacts to
+    ``config.out_dir``, and return the summary."""
     problem, x0, prescribed = build_problem(config)
     record = solve(problem, x0, SolverConfig(rstop=config.rstop, max_iter=config.max_iter))
     summary = record.summary()
@@ -259,12 +257,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[RunRecord, Problem, dict]:
     if prescribed is not None:
         summary["diff"] = float(np.linalg.norm(record.x - prescribed))
         summary["exact_obj"] = 0.0
-    return record, problem, summary
-
-
-def _write_artifacts(
-    config: ExperimentConfig, record: RunRecord, summary: dict, out_dir: Path
-) -> None:
+    out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2)
@@ -272,6 +265,7 @@ def _write_artifacts(
     record.to_csv(out_dir / "history.csv")
     (out_dir / "config.txt").write_text("\n".join(config.lines()) + "\n")
     np.save(out_dir / "x_final.npy", record.x)
+    return summary
 
 
 _EXIT_BY_STATUS = {"converged": 0, "max_iter": 2, "stalled": 3, "infeasible": 4}
@@ -281,15 +275,13 @@ def cmd_run(args: argparse.Namespace) -> int:
     config = load_config(args)
     for line in config.lines():
         print(line)
-    record, _, summary = run_experiment(config)
-    out_dir = Path(config.out_dir)
-    _write_artifacts(config, record, summary, out_dir)
+    summary = run_experiment(config)
     print(
         f"{summary['status']}: obj={summary['obj']:.9e} gradnorm={summary['gradnorm']:.3e} "
         f"feas={summary['feas']:.3e} iter={summary['iter']} feval={summary['feval']} "
         f"cpu_s={summary['cpu_s']:.3f}"
     )
-    print(f"artifacts written to {out_dir}")
+    print(f"artifacts written to {Path(config.out_dir)}")
     return _EXIT_BY_STATUS[summary["status"]]
 
 
@@ -305,8 +297,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
         run_config = dataclasses.replace(
             config, seed=seed, out_dir=str(out_root / f"seed_{seed}")
         )
-        record, _, summary = run_experiment(run_config)
-        _write_artifacts(run_config, record, summary, Path(run_config.out_dir))
+        summary = run_experiment(run_config)
         runs.append(summary)
         worst_exit = max(worst_exit, _EXIT_BY_STATUS[summary["status"]])
         print(

@@ -93,13 +93,13 @@ class SymOperator:
     is BLAS and the Cholesky factor is n x n.  ``dense`` is S, read-only,
     either way.  The banded form builds it on first read, with +0 off the
     band: bitwise sym(s) wherever s holds +0 there, as every ``test_matrix``
-    and diagonal input does.  ``banded`` tells the form.
+    and diagonal input does.  ``banded`` tells the form and ``n`` the order.
     """
 
     def __init__(self, s: np.ndarray):
         s = _square(s)
         n, b = s.shape[0], bandwidth(s)
-        self.banded = _banded(n, b)
+        self.n, self.banded = n, _banded(n, b)
         if not self.banded:
             self.dense = s = sym(s)
             s.setflags(write=False)
@@ -122,9 +122,8 @@ class SymOperator:
     @cached_property
     def dense(self) -> np.ndarray:
         """S, read-only, built from the band array on the banded form's first read."""
-        n = self._bands.shape[1]
-        s = np.zeros((n, n))
-        idx = np.arange(n)
+        s = np.zeros((self.n, self.n))
+        idx = np.arange(self.n)
         s[idx, idx] = self._bands[0]
         for d in range(1, self.bandwidth + 1):
             s[idx[:-d], idx[d:]] = self._bands[2 * d - 1, d:]
@@ -270,12 +269,16 @@ def random_rotation(size: int, rng: np.random.Generator) -> np.ndarray:
     return q
 
 
-def checked_solve(b: np.ndarray, rhs: np.ndarray, rcond_floor: float = 1e-14):
+RCOND_FLOOR = 1e-14
+
+
+def checked_solve(b: np.ndarray, rhs: np.ndarray):
     """Solve b @ x = rhs with an explicit near-singularity report.
 
-    Returns (x, rcond).  Raises numpy.linalg.LinAlgError when the LU
-    factorization breaks down or the 1-norm condition estimate exceeds
-    1/rcond_floor; callers that treat singularity as control flow wrap this.
+    Returns (x, rcond), rcond LAPACK's 1-norm reciprocal condition estimate.
+    Raises numpy.linalg.LinAlgError when the LU factorization breaks down or
+    rcond is not above RCOND_FLOOR; callers that treat singularity as control
+    flow wrap this.
     """
     b = np.ascontiguousarray(b, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
@@ -287,7 +290,7 @@ def checked_solve(b: np.ndarray, rhs: np.ndarray, rcond_floor: float = 1e-14):
     if info < 0:
         raise ValueError(f"illegal argument to getrf (info={info})")
     rcond, _ = gecon(lu, anorm, norm="1")
-    if not rcond > rcond_floor:
+    if not rcond > RCOND_FLOOR:
         raise np.linalg.LinAlgError(
             f"linear system singular to working precision (rcond={rcond:.3e})"
         )
@@ -300,11 +303,14 @@ def checked_solve(b: np.ndarray, rhs: np.ndarray, rcond_floor: float = 1e-14):
 def read_mtx(path) -> np.ndarray:
     """Read a real Matrix Market file (array or coordinate) as a dense array.
 
-    Symmetric storage is expanded to a full square array by the reader.
+    Symmetric storage is expanded to a full square array by the reader; a
+    complex or a non-finite entry raises ValueError.
     """
     a = scipy.io.mmread(str(path))
     if scipy.sparse.issparse(a):
         a = a.toarray()
+    if np.iscomplexobj(a):
+        raise ValueError(f"complex entries in {path}")
     a = np.asarray(a, dtype=float)
     if not np.all(np.isfinite(a)):
         raise ValueError(f"non-finite entries in {path}")

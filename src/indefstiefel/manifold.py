@@ -15,8 +15,6 @@ S = X^T A M_X^{-1} A X.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .linalg import SymOperator, solve_lyapunov, sym
@@ -25,34 +23,28 @@ from .linalg import SymOperator, solve_lyapunov, sym
 class ManifoldSpec:
     """Validated pair (A, J) defining iSt_{A,J}(k, n).
 
-    A and J are held as :class:`SymOperator` s, which symmetrize them.
-    ``J`` is J's read-only array, read at construction (it is k x k); ``A``
-    is A's, which a banded A builds only when it is read.  Construction
-    checks J^2 = I_k, checks that A is nonsingular, and checks the
-    nonemptiness inequalities i_+(J) <= i_+(A), i_-(J) <= i_-(A), with each
-    inertia from :meth:`SymOperator.inertia`, so a banded A or J gives its
-    inertia from its band array.  A is applied banded or dense by its
-    bandwidth, so a diagonal A (bandwidth 0) is a row scaling.
-    ``ManifoldSpec(j, j)`` (the J-orthogonal group) keeps one operator for
-    both, and ``A is J``.
+    A and J are held as :class:`SymOperator` s, which symmetrize them and
+    raise ValueError unless each is square; n and k are their orders, and
+    k <= n is checked.  ``J`` is J's read-only array, read at construction
+    (it is k x k); ``A`` is A's, which a banded A builds only when it is
+    read.  Construction checks J^2 = I_k, with J applied through its
+    operator (a row scaling for a diagonal J), which makes J nonsingular;
+    checks that A is nonsingular; and checks the nonemptiness inequalities
+    i_+(J) <= i_+(A), i_-(J) <= i_-(A), with each inertia from
+    :meth:`SymOperator.inertia`, so a banded A or J gives its inertia from
+    its band array.  A is applied banded or dense by its bandwidth, so a
+    diagonal A (bandwidth 0) is a row scaling.  ``ManifoldSpec(j, j)`` (the
+    J-orthogonal group) keeps one operator for both, and ``A is J``.
     """
 
     def __init__(self, a: np.ndarray, j: np.ndarray):
-        same = a is j
-        a = np.asarray(a, dtype=float)
-        j = np.asarray(j, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"A must be square, got shape {a.shape}")
-        if j.ndim != 2 or j.shape[0] != j.shape[1]:
-            raise ValueError(f"J must be square, got shape {j.shape}")
-        self.n = a.shape[0]
-        self.k = j.shape[0]
+        self._a = SymOperator(a)
+        self._j = self._a if j is a else SymOperator(j)
+        self.n, self.k = self._a.n, self._j.n
         if self.k > self.n:
             raise ValueError(f"J order {self.k} exceeds A order {self.n}")
-        self._a = SymOperator(a)
-        self._j = self._a if same else SymOperator(j)
         self.J = self._j.dense
-        jj_err = np.linalg.norm(self.J @ self.J - np.eye(self.k))
+        jj_err = np.linalg.norm(self._j @ self.J - np.eye(self.k))
         if jj_err > 1e-12 * self.k:
             raise ValueError(f"J^2 != I_k (||J^2 - I||_F = {jj_err:.3e})")
 
@@ -60,18 +52,11 @@ class ManifoldSpec:
         if self.inertia_a.n_zero > 0:
             raise ValueError("A is singular (zero eigenvalue within tolerance)")
         self.inertia_j = self._j.inertia()
-        if self.inertia_j.n_zero > 0:
-            raise ValueError("J is singular, cannot satisfy J^2 = I")
-        if self.inertia_j.n_pos > self.inertia_a.n_pos:
-            raise ValueError(
-                f"manifold is empty: i+(J) = {self.inertia_j.n_pos} exceeds "
-                f"i+(A) = {self.inertia_a.n_pos}"
-            )
-        if self.inertia_j.n_neg > self.inertia_a.n_neg:
-            raise ValueError(
-                f"manifold is empty: i-(J) = {self.inertia_j.n_neg} exceeds "
-                f"i-(A) = {self.inertia_a.n_neg}"
-            )
+        for sign, in_j, in_a in zip("+-", self.inertia_j, self.inertia_a):
+            if in_j > in_a:
+                raise ValueError(
+                    f"manifold is empty: i{sign}(J) = {in_j} exceeds i{sign}(A) = {in_a}"
+                )
 
     @property
     def A(self) -> np.ndarray:
@@ -90,35 +75,28 @@ class ManifoldSpec:
         return self._a @ x
 
 
-@dataclass(frozen=True)
 class MetricSpec:
     """A tractable metric g_X(Z1, Z2) = tr(Z1^T M_X Z2).
 
-    M_X = I when ``matrix`` is None; otherwise M_X = M constant, held as a
-    :class:`SymOperator` (banded or dense by its bandwidth) and factored at
-    construction, which raises ValueError unless M is positive definite:
-    LDL^T when M is tridiagonal, Cholesky otherwise.  The solver calls only
-    :meth:`apply` and :meth:`apply_inverse`, so any object with those two
-    methods can stand in for an X-dependent metric.
+    ``MetricSpec()`` is the Euclidean metric M_X = I.  ``MetricSpec(m)`` is
+    M_X = M constant for an array or a :class:`SymOperator` m; an array
+    becomes an operator (banded or dense by its bandwidth), kept as
+    ``matrix``.  M is factored here, once, and construction raises
+    ValueError unless M is positive definite: LDL^T when M is tridiagonal,
+    Cholesky otherwise.  The solver calls only :meth:`apply` and
+    :meth:`apply_inverse`, so any object with those two methods can stand
+    in for an X-dependent metric.
     """
 
-    matrix: SymOperator | None = None
-
-    def __post_init__(self):
-        if self.matrix is not None:
+    def __init__(self, matrix: np.ndarray | SymOperator | None = None):
+        if matrix is not None and not isinstance(matrix, SymOperator):
+            matrix = SymOperator(matrix)
+        self.matrix = matrix
+        if matrix is not None:
             try:
-                object.__setattr__(self, "_solve", self.matrix.cho_solver())
+                self._solve = matrix.cho_solver()
             except np.linalg.LinAlgError as exc:
                 raise ValueError("metric matrix is not positive definite") from exc
-
-    @staticmethod
-    def euclidean() -> "MetricSpec":
-        return MetricSpec()
-
-    @staticmethod
-    def weighted(m: np.ndarray | SymOperator) -> "MetricSpec":
-        """The metric M_X = M of an array or an operator M."""
-        return MetricSpec(m if isinstance(m, SymOperator) else SymOperator(m))
 
     def apply(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """M_X y at base point x."""

@@ -79,7 +79,7 @@ def _metric_for(choice: str, hessian: SymOperator, egrad: Callable, closed_form:
     weighted = MetricSpec(hessian)
     if choice == "hessian":
         return weighted, closed_form
-    return MetricSpec.euclidean(), egrad
+    return MetricSpec(), egrad
 
 
 def trace_min_problem(m: np.ndarray, a: np.ndarray, j: np.ndarray, metric: str = "hessian") -> Problem:
@@ -91,10 +91,9 @@ def trace_min_problem(m: np.ndarray, a: np.ndarray, j: np.ndarray, metric: str =
     bandwidth.  Under M_X = M the gradient M^{-1} 2 M X is 2 X, so the solver
     never calls egrad.
     """
-    spec = ManifoldSpec(a, j)
-    if np.shape(m) != (spec.n, spec.n):
-        raise ValueError(f"M is {np.shape(m)}, but A has order {spec.n}")
-    m_op = SymOperator(m)
+    spec, m_op = ManifoldSpec(a, j), SymOperator(m)
+    if m_op.n != spec.n:
+        raise ValueError(f"M is of order {m_op.n}, but A has order {spec.n}")
 
     def f(x: np.ndarray) -> float:
         return float(np.vdot(x, m_op @ x))
@@ -153,14 +152,9 @@ def lrevp_problem(k_mat: np.ndarray, m_mat: np.ndarray, k: int, metric: str = "h
     p = k_mat.shape[0]
     if not 1 <= k <= p:
         raise ValueError(f"need 1 <= k <= p, got k={k}, p={p}")
-    h = np.zeros((2 * p, 2 * p))
-    h[:p, :p] = k_mat
-    h[p:, p:] = m_mat
-    g = np.zeros((2 * p, 2 * p))
-    eye = np.eye(p)
-    g[:p, p:] = eye
-    g[p:, :p] = eye
-    return trace_min_problem(h, g, np.eye(k), metric)
+    zero, eye = np.zeros((p, p)), np.eye(p)
+    g = np.block([[zero, eye], [eye, zero]])
+    return trace_min_problem(scipy.linalg.block_diag(k_mat, m_mat), g, np.eye(k), metric)
 
 
 def lrevp_initial_guess(p: int, k: int, rng: np.random.Generator) -> np.ndarray:

@@ -35,9 +35,6 @@ from .linalg import checked_solve, skew
 from .manifold import ManifoldSpec
 
 
-RCOND_FLOOR = 1e-14
-
-
 class WellDefinednessError(RuntimeError):
     """The Cayley system is singular at this step size; the retraction is
     undefined there.  Normal control flow for line searches."""
@@ -98,6 +95,7 @@ class CayleyCurve:
             xj = (spec._j @ self.x.T).T
             jxta = spec._j @ ax.T
             self._sa = xj @ (core @ jxta) - xj @ az.T + z @ jxta
+            self._sax = self._sa @ self.x  # S A X does not depend on t
 
     def at(self, t: float) -> np.ndarray:
         """Evaluate the curve; raises WellDefinednessError at singular t."""
@@ -105,11 +103,11 @@ class CayleyCurve:
         try:
             if self._sa is not None:
                 b = np.eye(self.x.shape[0]) - (0.5 * t) * self._sa
-                rhs = self.x + (0.5 * t) * (self._sa @ self.x)
-                out, _ = checked_solve(b, rhs, RCOND_FLOOR)
+                rhs = self.x + (0.5 * t) * self._sax
+                out, _ = checked_solve(b, rhs)
                 return out
             b = np.eye(self._cg.shape[0]) - (0.5 * t) * self._cg
-            w, _ = checked_solve(b, self._cv, RCOND_FLOOR)
+            w, _ = checked_solve(b, self._cv)
             # X + t U w = [X, Z] [[I + t J w_1], [t w_2]]; a C-ordered
             # coefficient takes the faster BLAS kernel for the n x 2k product
             k = w.shape[1]

@@ -104,7 +104,7 @@ class DenseCayleyCurve:
         b = np.eye(self.x.shape[0]) - (0.5 * t) * self._sa
         rhs = self.x + (0.5 * t) * (self._sa @ self.x)
         try:
-            return checked_solve(b, rhs, retraction.RCOND_FLOOR)[0]
+            return checked_solve(b, rhs)[0]
         except np.linalg.LinAlgError as exc:
             raise WellDefinednessError(f"oracle Cayley system singular at t={t:.6g}") from exc
 

@@ -287,9 +287,9 @@ def test_projection_and_gradient_suite():
         x = perturbed_point(spec, rng, scale=0.3)
         k = kp + km
         if trial % 3 == 0:
-            met = MetricSpec.euclidean()
+            met = MetricSpec()
         elif trial % 3 == 1:
-            met = MetricSpec.weighted(random_spd(rng, n))
+            met = MetricSpec(random_spd(rng, n))
         else:
             met = pointwise_metric(lambda xx: np.eye(len(xx)) + xx @ xx.T)
 

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.io
+import scipy.sparse
 
 from indefstiefel import RunRecord, cli, feasibility, make_point, optimizer
 from indefstiefel.manifold import metric_norm, riemannian_gradient
@@ -222,6 +223,24 @@ def test_inputs_the_library_rejects_exit_1_without_artifacts(tmp_path, capsys, a
     out = tmp_path / "out"
     assert main(["run", *argv, "--out-dir", str(out)]) == 1
     assert capsys.readouterr().err.startswith("config error:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["array", "coordinate"])
+def test_complex_matrix_market_file_is_a_config_error(tmp_path, capsys, sparse):
+    # a complex K is refused, not cast to its real part and solved
+    k = np.array([[4.0, 1.0j], [-1.0j, 3.0]])
+    scipy.io.mmwrite(str(tmp_path / "K.mtx"), scipy.sparse.coo_matrix(k) if sparse else k)
+    scipy.io.mmwrite(str(tmp_path / "M.mtx"), np.eye(2))
+    out = tmp_path / "out"
+    code = main([
+        "run", "--problem", "lrevp", "--k", "1",
+        "--mtx-k", str(tmp_path / "K.mtx"), "--mtx-m", str(tmp_path / "M.mtx"),
+        "--out-dir", str(out),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "complex" in err
     assert not out.exists()
 
 

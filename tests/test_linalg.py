@@ -392,3 +392,15 @@ def test_mtx_roundtrip(tmp_path):
     scipy.io.mmwrite(str(coord), scipy.sparse.coo_matrix(a))
     assert np.allclose(read_mtx(dense), a, atol=1e-12)
     assert np.allclose(read_mtx(coord), a, atol=1e-12)
+
+
+def test_mtx_rejects_complex_entries(tmp_path):
+    # a cast to float would drop the imaginary part with only a warning
+    a = np.array([[2.0, 1.0j], [-1.0j, 3.0]])
+    dense = tmp_path / "dense.mtx"
+    coord = tmp_path / "coord.mtx"
+    scipy.io.mmwrite(str(dense), a)
+    scipy.io.mmwrite(str(coord), scipy.sparse.coo_matrix(a))
+    for path in (dense, coord):
+        with pytest.raises(ValueError, match="complex"):
+            read_mtx(path)

@@ -47,6 +47,15 @@ def test_spec_validates_involution():
         ManifoldSpec(np.diag([1.0, -1.0]), np.array([[2.0]]))  # J^2 != I
 
 
+def test_spec_rejects_non_square_inputs_and_j_above_a_order():
+    with pytest.raises(ValueError, match="square"):
+        ManifoldSpec(np.ones((3, 2)), np.eye(1))
+    with pytest.raises(ValueError, match="square"):
+        ManifoldSpec(np.eye(3), np.ones((2, 1)))
+    with pytest.raises(ValueError, match="exceeds A order"):
+        ManifoldSpec(np.eye(2), np.eye(3))
+
+
 def test_spec_rejects_singular_a():
     with pytest.raises(ValueError):
         ManifoldSpec(np.diag([1.0, 0.0]), np.array([[1.0]]))
@@ -254,11 +263,11 @@ def test_metric_kinds():
     y = rng.standard_normal((n, k))
     m = random_spd(rng, n)
 
-    euclid = MetricSpec.euclidean()
+    euclid = MetricSpec()
     assert np.allclose(euclid.apply(x, y), y)
     assert np.allclose(euclid.apply_inverse(x, y), y)
 
-    weighted = MetricSpec.weighted(m)
+    weighted = MetricSpec(m)
     assert np.allclose(weighted.apply(x, y), m @ y)
     assert np.allclose(m @ weighted.apply_inverse(x, y), y, atol=1e-10)
 
@@ -269,19 +278,19 @@ def test_metric_kinds():
 
 def test_weighted_metric_requires_spd():
     with pytest.raises(ValueError):
-        MetricSpec.weighted(np.diag([1.0, -1.0]))
+        MetricSpec(np.diag([1.0, -1.0]))
 
 
 @pytest.mark.parametrize("form", ["dense", "tridiagonal"])
-def test_metric_built_from_an_operator_equals_weighted(form):
+def test_metric_from_an_array_equals_the_metric_from_its_operator(form):
     rng = np.random.default_rng(11)
     n = 200
     m = random_spd(rng, n) if form == "dense" else gallery("tridiag", n)
     y = rng.standard_normal((n, 3))
-    direct = MetricSpec(matrix=SymOperator(m))
-    assert np.array_equal(direct.apply_inverse(None, y), MetricSpec.weighted(m).apply_inverse(None, y))
+    from_op = MetricSpec(SymOperator(m))
+    assert np.array_equal(MetricSpec(m).apply_inverse(None, y), from_op.apply_inverse(None, y))
     with pytest.raises(ValueError, match="not positive definite"):
-        MetricSpec(matrix=SymOperator(np.diag([1.0, -1.0])))
+        MetricSpec(SymOperator(np.diag([1.0, -1.0])))
 
 
 def test_metric_norm_consistency():
@@ -290,7 +299,7 @@ def test_metric_norm_consistency():
     x = make_point(spec)
     z = random_tangent(spec, x, rng)
     m = random_spd(rng, 6)
-    metric = MetricSpec.weighted(m)
+    metric = MetricSpec(m)
     direct = np.sqrt(np.vdot(z, m @ z))
     assert metric_norm(metric, x, z) == pytest.approx(direct, rel=1e-12)
 
@@ -300,8 +309,8 @@ def test_metric_norm_consistency():
 
 def metrics_for(rng, n):
     return [
-        MetricSpec.euclidean(),
-        MetricSpec.weighted(random_spd(rng, n)),
+        MetricSpec(),
+        MetricSpec(random_spd(rng, n)),
         pointwise_metric(lambda x: np.eye(n) + x @ x.T),
     ]
 
@@ -368,7 +377,7 @@ def test_gradient_duality():
             continue
         spec = random_spec(rng, n, p, kp, km)
         x = make_point(spec)
-        metric = MetricSpec.weighted(random_spd(rng, n))
+        metric = MetricSpec(random_spd(rng, n))
         egrad = rng.standard_normal((n, kp + km))
         grad = riemannian_gradient(spec, metric, x, metric.apply_inverse(x, egrad))
         z = random_tangent(spec, x, rng)
@@ -416,7 +425,7 @@ def test_gradient_euclidean_riesz_consistency():
     rng = np.random.default_rng(15)
     spec = random_spec(rng, 6, 4, 2, 1)
     x = make_point(spec)
-    metric = MetricSpec.euclidean()
+    metric = MetricSpec()
     egrad = rng.standard_normal((6, 3))
     grad = riemannian_gradient(spec, metric, x, metric.apply_inverse(x, egrad))
     proj = project_tangent(spec, metric, x, egrad)

@@ -36,7 +36,7 @@ def hyperbola_problem():
     spec = ManifoldSpec(a, j)
     return Problem(
         spec=spec,
-        metric=MetricSpec.weighted(m),
+        metric=MetricSpec(m),
         f=lambda x: float(np.vdot(x, m @ x)),
         egrad=lambda x: 2.0 * (m @ x),
     )

@@ -221,7 +221,7 @@ def test_trace_min_rejects_indefinite_banded_m(metric):
     with pytest.raises(ValueError, match="not positive definite"):
         trace_min_problem(m, a, signature(2, 1), metric=metric)
     with pytest.raises(ValueError, match="not positive definite"):
-        MetricSpec.weighted(m)
+        MetricSpec(m)
 
 
 def test_trace_min_rejects_m_of_another_order():
