@@ -32,7 +32,7 @@ import numpy as np
 import scipy.linalg
 
 from .linalg import random_rotation, read_mtx, signature, test_matrix
-from .manifold import ManifoldSpec, _points, feasibility, make_point
+from .manifold import ManifoldSpec, feasibility, make_point
 from .optimizer import SolverConfig, solve
 from .problems import (
     Problem,
@@ -197,12 +197,13 @@ def build_problem(config: ExperimentConfig) -> tuple[Problem, np.ndarray, np.nda
 def _build_problem(config: ExperimentConfig) -> tuple[Problem, np.ndarray, np.ndarray | None]:
     rng = np.random.default_rng(config.seed)
     n, p, m, k = config.n, config.p, config.n - config.p, config.k
+    # the eigenvalues 1..p and -m..-1 of tracemin's and matexeq's A
+    a_eigs = np.concatenate([np.arange(1.0, p + 1.0), -np.arange(float(m), 0.0, -1.0)])
 
     if config.problem == "tracemin":
         m_mat = test_matrix(config.matrix, n, config.matrix_param)
-        a_diag = np.concatenate([np.arange(1.0, p + 1.0), -np.arange(float(m), 0.0, -1.0)])
         problem = trace_min_problem(
-            m_mat, np.diag(a_diag), signature(config.kp, k - config.kp),
+            m_mat, np.diag(a_eigs), signature(config.kp, k - config.kp),
             metric=config.metric,
         )
         return problem, make_point(problem.spec), None
@@ -229,12 +230,14 @@ def _build_problem(config: ExperimentConfig) -> tuple[Problem, np.ndarray, np.nd
 
     # matexeq
     basis = np.linalg.qr(rng.standard_normal((n, n)))[0]
-    a_eigs = np.concatenate([np.arange(1.0, p + 1.0), -np.arange(float(m), 0.0, -1.0)])
     a = (basis * a_eigs) @ basis.T
     g = test_matrix(config.matrix, n, config.matrix_param)
     spec = ManifoldSpec(a, np.eye(k))
-    # both points from one n x n eigendecomposition of A
-    x_star, x0 = _points(spec, (np.arange(k), None), (np.arange(p - k, p), None))
+    # A's eigenvectors are the columns of basis: X* takes those of the k
+    # smallest positive eigenvalues, x0 those of the k largest, each scaled
+    # to X^T A X = I_k, so set-up runs no eigendecomposition of A
+    x_star = basis[:, :k] / np.sqrt(a_eigs[:k])
+    x0 = basis[:, p - k:p] / np.sqrt(a_eigs[p - k:p])
     problem = matrix_equation_problem(g, g @ x_star, spec, metric=config.metric)
     return problem, x0, x_star
 

@@ -16,8 +16,7 @@ import numpy as np
 import scipy.io
 import scipy.linalg
 import scipy.sparse
-from scipy.linalg import get_lapack_funcs
-from scipy.linalg.lapack import dpttrf, dpttrs
+from scipy.linalg.lapack import dgecon, dgetrf, dgetrs, dpttrf, dpttrs
 
 
 class Inertia(NamedTuple):
@@ -93,7 +92,8 @@ class SymOperator:
     is BLAS and the Cholesky factor is n x n.  ``dense`` is S, read-only,
     either way.  The banded form builds it on first read, with +0 off the
     band: bitwise sym(s) wherever s holds +0 there, as every ``test_matrix``
-    and diagonal input does.  ``banded`` tells the form and ``n`` the order.
+    and diagonal input does, except that a -0 off the diagonal but inside
+    the band reads +0.  ``banded`` tells the form and ``n`` the order.
     """
 
     def __init__(self, s: np.ndarray):
@@ -121,13 +121,9 @@ class SymOperator:
 
     @cached_property
     def dense(self) -> np.ndarray:
-        """S, read-only, built from the band array on the banded form's first read."""
-        s = np.zeros((self.n, self.n))
-        idx = np.arange(self.n)
-        s[idx, idx] = self._bands[0]
-        for d in range(1, self.bandwidth + 1):
-            s[idx[:-d], idx[d:]] = self._bands[2 * d - 1, d:]
-            s[idx[d:], idx[:-d]] = self._bands[2 * d, :-d]
+        """S, read-only and C-ordered, built from the band array on the banded
+        form's first read: scipy's DIA-to-dense conversion, or the diagonal."""
+        s = self._dia.toarray() if self.bandwidth else np.diag(self._bands[0])
         s.setflags(write=False)
         return s
 
@@ -282,19 +278,18 @@ def checked_solve(b: np.ndarray, rhs: np.ndarray):
     """
     b = np.ascontiguousarray(b, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
-    getrf, gecon, getrs = get_lapack_funcs(("getrf", "gecon", "getrs"), (b,))
     anorm = np.linalg.norm(b, 1)
-    lu, piv, info = getrf(b)
+    lu, piv, info = dgetrf(b)
     if info > 0:
         raise np.linalg.LinAlgError("exactly singular linear system")
     if info < 0:
         raise ValueError(f"illegal argument to getrf (info={info})")
-    rcond, _ = gecon(lu, anorm, norm="1")
+    rcond, _ = dgecon(lu, anorm, norm="1")
     if not rcond > RCOND_FLOOR:
         raise np.linalg.LinAlgError(
             f"linear system singular to working precision (rcond={rcond:.3e})"
         )
-    x, info = getrs(lu, piv, rhs)
+    x, info = dgetrs(lu, piv, rhs)
     if info != 0:
         raise np.linalg.LinAlgError(f"triangular solve failed (info={info})")
     return x, rcond

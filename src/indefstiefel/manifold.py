@@ -133,13 +133,6 @@ def make_point(
     negative) eigendirections in ascending-eigenvalue order; by default the
     directions of smallest magnitude eigenvalues are used.
     """
-    (x,) = _points(spec, (pos_indices, neg_indices))
-    return x
-
-
-def _points(spec: ManifoldSpec, *selections) -> list[np.ndarray]:
-    """make_point for each (pos_indices, neg_indices) pair, all from one
-    eigendecomposition of A (n x n for a dense A)."""
     diagonal = spec._a.bandwidth == 0
     if not diagonal:
         w, v = np.linalg.eigh(spec.A)
@@ -152,36 +145,32 @@ def _points(spec: ManifoldSpec, *selections) -> list[np.ndarray]:
     kp, km = spec.inertia_j.n_pos, spec.inertia_j.n_neg
     pos = np.flatnonzero(w > 0)
     neg = np.flatnonzero(w < 0)
+    if pos_indices is None:
+        pos_indices = np.argsort(w[pos])[:kp]  # smallest positive eigenvalues
+    if neg_indices is None:
+        neg_indices = np.argsort(-w[neg])[:km]  # negative ones closest to zero
+    pos_indices = np.asarray(pos_indices, dtype=int)
+    neg_indices = np.asarray(neg_indices, dtype=int)
+    if len(pos_indices) != kp or len(neg_indices) != km:
+        raise ValueError(
+            f"need exactly {kp} positive and {km} negative directions, "
+            f"got {len(pos_indices)} and {len(neg_indices)}"
+        )
+    cols = np.concatenate([pos[pos_indices], neg[neg_indices]])
+    if len(set(cols.tolist())) != len(cols):
+        raise ValueError("duplicate eigendirection selected")
+    if not diagonal:
+        frame = v[:, cols]
+    else:
+        # the layout and +0 entries of np.eye(n)[:, rows][:, cols], so that
+        # frame @ u.T below runs the same BLAS arithmetic on any library
+        frame = np.zeros((spec.n, len(cols)), order="F")
+        frame[rows[cols], np.arange(len(cols))] = 1.0
+    frame = frame / np.sqrt(np.abs(w[cols]))
     # orthogonal U with U^T J U = diag(I_kp, -I_km)
     wj, uj = np.linalg.eigh(spec.J)
-    order = np.argsort(-wj)  # +1 eigenvalues first
-    u = uj[:, order]
-    points = []
-    for pos_indices, neg_indices in selections:
-        if pos_indices is None:
-            pos_indices = np.argsort(w[pos])[:kp]  # smallest positive eigenvalues
-        if neg_indices is None:
-            neg_indices = np.argsort(-w[neg])[:km]  # negative ones closest to zero
-        pos_indices = np.asarray(pos_indices, dtype=int)
-        neg_indices = np.asarray(neg_indices, dtype=int)
-        if len(pos_indices) != kp or len(neg_indices) != km:
-            raise ValueError(
-                f"need exactly {kp} positive and {km} negative directions, "
-                f"got {len(pos_indices)} and {len(neg_indices)}"
-            )
-        cols = np.concatenate([pos[pos_indices], neg[neg_indices]])
-        if len(set(cols.tolist())) != len(cols):
-            raise ValueError("duplicate eigendirection selected")
-        if not diagonal:
-            frame = v[:, cols]
-        else:
-            # the layout and +0 entries of np.eye(n)[:, rows][:, cols], so that
-            # frame @ u.T below runs the same BLAS arithmetic on any library
-            frame = np.zeros((spec.n, len(cols)), order="F")
-            frame[rows[cols], np.arange(len(cols))] = 1.0
-        frame = frame / np.sqrt(np.abs(w[cols]))
-        points.append(frame @ u.T)
-    return points
+    u = uj[:, np.argsort(-wj)]  # +1 eigenvalues first
+    return frame @ u.T
 
 
 def metric_inner(metric: MetricSpec, x: np.ndarray, z1: np.ndarray, z2: np.ndarray) -> float:

@@ -37,10 +37,7 @@ def random_indefinite(
 def block_diag_orthogonal(p: int, m: int, rng: np.random.Generator) -> np.ndarray:
     """diag(Q1, Q2) with random rotations of orders p and m: orthogonal, and
     J-orthogonal for J = diag(I_p, -I_m)."""
-    v = np.zeros((p + m, p + m))
-    v[:p, :p] = random_rotation(p, rng)
-    v[p:, p:] = random_rotation(m, rng)
-    return v
+    return scipy.linalg.block_diag(random_rotation(p, rng), random_rotation(m, rng))
 
 
 def random_spec(

@@ -13,7 +13,7 @@ import pytest
 import scipy.io
 import scipy.sparse
 
-from indefstiefel import RunRecord, cli, feasibility, make_point, optimizer
+from indefstiefel import RunRecord, cli, feasibility, optimizer
 from indefstiefel.manifold import metric_norm, riemannian_gradient
 from indefstiefel.optimizer import HISTORY_COLUMNS
 from indefstiefel.cli import (
@@ -136,8 +136,8 @@ def test_run_matexeq_reports_exact_objective(tmp_path):
     assert summary["diff"] <= 1e-6
 
 
-def test_matexeq_setup_runs_one_eigendecomposition_of_a(monkeypatch, tmp_path):
-    # x* and x0 are both built from A's eigenvectors: one n x n eigh serves both
+def test_matexeq_setup_runs_no_eigendecomposition_of_a(monkeypatch, tmp_path):
+    # x* and x0 are columns of the eigenbasis that set-up drew A from
     n, p, k = 24, 18, 3
     config = small_config(tmp_path, problem="matexeq", n=n, p=p, k=k,
                           matrix="kms", matrix_param=0.5)
@@ -150,10 +150,13 @@ def test_matexeq_setup_runs_one_eigendecomposition_of_a(monkeypatch, tmp_path):
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
     problem, x0, x_star = build_problem(config)
-    assert shapes.count((n, n)) == 1
-    # the same points, bit for bit, as one make_point call each
-    assert np.array_equal(x_star, make_point(problem.spec, pos_indices=np.arange(k)))
-    assert np.array_equal(x0, make_point(problem.spec, pos_indices=np.arange(p - k, p)))
+    assert (n, n) not in shapes
+    a = problem.spec.A
+    # eigenvectors of A's k smallest and k largest positive eigenvalues
+    for x, lam in ((x_star, np.arange(1.0, k + 1.0)), (x0, np.arange(p - k + 1.0, p + 1.0))):
+        assert np.linalg.norm(a @ x - x * lam) <= 1e-12 * np.linalg.norm(a)
+        assert np.linalg.norm(x.T @ a @ x - np.eye(k)) <= 1e-12
+    assert problem.f(x_star) == 0.0
 
 
 def test_config_echo_lists_only_fields_the_problem_reads(tmp_path, capsys):

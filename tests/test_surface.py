@@ -1,6 +1,7 @@
 """The package root names the user surface, every library name that the
 benchmark harness and the scripts bind resolves (their files are read with
-``ast``), and the eigenvalue benchmark script runs on a small pencil."""
+``ast``), no library module imports a private name from a sibling, and the
+eigenvalue benchmark script runs on a small pencil."""
 
 from __future__ import annotations
 
@@ -87,3 +88,12 @@ def test_eigenvalue_script_runs_a_small_pencil(capsys):
     record = run(gallery("lehmer", 30), a, 2, 1, label="lehmer n=30")
     assert record.status == "converged"
     assert "eig_rel=" in capsys.readouterr().out
+
+
+def test_no_module_imports_a_private_name_from_a_sibling():
+    private = []
+    for path in sorted((ROOT / "src" / "indefstiefel").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                private += [(path.name, a.name) for a in node.names if a.name.startswith("_")]
+    assert private == []
