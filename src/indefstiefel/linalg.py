@@ -9,14 +9,14 @@ factors such a matrix in the form its bandwidth makes cheaper.
 from __future__ import annotations
 
 import math
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.io
 import scipy.linalg
 import scipy.sparse
-from scipy.linalg.lapack import dgecon, dgetrf, dgetrs, dpttrf, dpttrs
+from scipy.linalg.lapack import dgecon, dgetrf, dgetrs, dpbtrs, dpotrs, dpttrf, dpttrs
 
 
 class Inertia(NamedTuple):
@@ -155,19 +155,38 @@ class SymOperator:
 
     def cho_solver(self) -> Callable[[np.ndarray], np.ndarray]:
         """y -> S^{-1} y through a factorization of S, computed here once;
-        raises numpy.linalg.LinAlgError unless S is positive definite."""
-        # the factorization checked S once; skip the recheck per solve
+        raises numpy.linalg.LinAlgError unless S is positive definite.
+
+        Each solve is one LAPACK call on the factor, which no solve
+        rechecks: ``dpotrs`` in the dense form, ``dpttrs`` on the LDL^T
+        factor when b = 1 and ``dpbtrs`` on the banded Cholesky factor
+        otherwise.  The first and last return the bits of scipy's
+        ``cho_solve`` and ``cho_solve_banded`` without those wrappers'
+        per-call argument handling.  No solve writes to y.
+        """
         if not self.banded:
-            return partial(scipy.linalg.cho_solve, scipy.linalg.cho_factor(self.dense),
-                           check_finite=False)
+            return _lapack_solve(dpotrs, scipy.linalg.cho_factor(self.dense)[0])
         if self.bandwidth == 1:
             bands = np.asarray_chkfinite(self._bands)  # dpttrf lets a NaN through
             d, e, info = dpttrf(bands[0], bands[1, 1:])
             if info != 0:
                 raise np.linalg.LinAlgError(f"{info}-th leading minor not positive definite")
-            return lambda y: dpttrs(d, e, y)[0]
-        factor = (scipy.linalg.cholesky_banded(self._upper()), False)
-        return partial(scipy.linalg.cho_solve_banded, factor, check_finite=False)
+            return _lapack_solve(dpttrs, d, e)
+        return _lapack_solve(dpbtrs, scipy.linalg.cholesky_banded(self._upper()))
+
+
+def _lapack_solve(routine, *factor) -> Callable[[np.ndarray], np.ndarray]:
+    """y -> x from a LAPACK ``?trs`` routine called as routine(*factor, y),
+    whose defaults read the upper triangle the factors are stored in; a
+    nonzero ``info`` raises ValueError, as in scipy's ``cho_solve``."""
+
+    def solve(y: np.ndarray) -> np.ndarray:
+        x, info = routine(*factor, y)
+        if info != 0:
+            raise ValueError(f"illegal value in argument {-info} of {routine.__name__}")
+        return x
+
+    return solve
 
 
 def sign_counts(w: np.ndarray, tol: float = 1e-12) -> Inertia:
@@ -271,20 +290,29 @@ RCOND_FLOOR = 1e-14
 def checked_solve(b: np.ndarray, rhs: np.ndarray):
     """Solve b @ x = rhs with an explicit near-singularity report.
 
-    Returns (x, rcond), rcond LAPACK's 1-norm reciprocal condition estimate.
-    Raises numpy.linalg.LinAlgError when the LU factorization breaks down or
-    rcond is not above RCOND_FLOOR; callers that treat singularity as control
-    flow wrap this.
+    Returns (x, rcond), rcond LAPACK's 1-norm reciprocal condition estimate
+    (``dgetrf``, ``dgecon``, ``dgetrs``).  Raises numpy.linalg.LinAlgError
+    when b is not finite, the LU factorization breaks down or rcond is not
+    above RCOND_FLOOR; callers that treat singularity as control flow wrap
+    this.  A negative ``info`` from any of the three routines is an illegal
+    argument and raises ValueError.  The 1-norm of b is the column-sum
+    reduction ``np.linalg.norm(b, 1)`` runs, bit for bit, without its
+    dispatch.
     """
     b = np.ascontiguousarray(b, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
-    anorm = np.linalg.norm(b, 1)
+    anorm = np.abs(b).sum(axis=0).max()
+    if not math.isfinite(anorm):
+        # dgecon takes a non-finite norm for an illegal argument
+        raise np.linalg.LinAlgError(f"linear system is not finite (1-norm {anorm})")
     lu, piv, info = dgetrf(b)
     if info > 0:
         raise np.linalg.LinAlgError("exactly singular linear system")
     if info < 0:
         raise ValueError(f"illegal argument to getrf (info={info})")
-    rcond, _ = dgecon(lu, anorm, norm="1")
+    rcond, info = dgecon(lu, anorm, norm="1")
+    if info < 0:
+        raise ValueError(f"illegal argument to gecon (info={info})")
     if not rcond > RCOND_FLOOR:
         raise np.linalg.LinAlgError(
             f"linear system singular to working precision (rcond={rcond:.3e})"

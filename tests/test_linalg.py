@@ -3,16 +3,27 @@
 from __future__ import annotations
 
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
 import scipy.io
 import scipy.linalg
 import scipy.sparse
+from scipy.linalg.lapack import dgecon, dgetrf, dgetrs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from indefstiefel import linalg, read_mtx, signature
+from indefstiefel import (
+    MetricSpec,
+    SolverConfig,
+    linalg,
+    make_point,
+    read_mtx,
+    signature,
+    solve,
+    trace_min_problem,
+)
 from indefstiefel import test_matrix as gallery
 from indefstiefel.linalg import (
     Inertia,
@@ -363,6 +374,93 @@ def test_banded_inertia_from_the_band_array(b, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
     assert op.inertia() == expected
     assert "dense" not in vars(op)
+
+
+def upper_band_storage(s: np.ndarray, b: int) -> np.ndarray:
+    """LAPACK's upper band storage ab[b + i - j, j] = S[i, j], read from S."""
+    ab = np.zeros((b + 1, s.shape[0]))
+    for d in range(b + 1):
+        ab[b - d, d:] = np.diagonal(s, d)
+    return ab
+
+
+def right_hand_sides(rng: np.random.Generator, n: int) -> list[np.ndarray]:
+    """A 1-D, a C-ordered, an F-ordered and a column-strided right-hand side."""
+    y = rng.standard_normal((n, 6))
+    return [y[:, 0], y, np.asfortranarray(y), y[:, ::2]]
+
+
+@pytest.mark.parametrize("b", [None, 3])
+def test_cho_solver_has_the_bytes_of_the_scipy_solve(b):
+    # the solver calls dpotrs / dpbtrs on its factor; scipy's wrappers around
+    # the same routines are the reference, bit for bit
+    rng = np.random.default_rng(50)
+    n = 200
+    if b is None:
+        s = random_spd(rng, n)
+        reference = partial(scipy.linalg.cho_solve, scipy.linalg.cho_factor(s), check_finite=False)
+    else:
+        s = banded_spd(rng, n, b)
+        factor = (scipy.linalg.cholesky_banded(upper_band_storage(s, b)), False)
+        reference = partial(scipy.linalg.cho_solve_banded, factor, check_finite=False)
+    op = SymOperator(s)
+    assert op.banded == (b is not None)
+    solve = op.cho_solver()
+    for y in right_hand_sides(rng, n):
+        before = y.copy()
+        x, ref = solve(y), reference(y)
+        assert x.shape == ref.shape == y.shape
+        assert x.tobytes() == ref.tobytes()
+        assert np.array_equal(y, before)  # the right-hand side is not overwritten
+
+
+def test_metric_solve_calls_no_scipy_solve_wrapper(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a scipy solve wrapper was called")
+
+    monkeypatch.setattr(scipy.linalg, "cho_solve", refuse)
+    monkeypatch.setattr(scipy.linalg, "cho_solve_banded", refuse)
+    rng = np.random.default_rng(51)
+    for s in (random_spd(rng, 200), banded_spd(rng, 200, 3)):
+        y = rng.standard_normal((200, 5))
+        x = MetricSpec(s).apply_inverse(None, y)
+        assert _rel(s @ x, y) <= 1e-12
+    # a dense-M pencil: the metric solve runs on every iteration
+    a = np.diag(np.concatenate([np.arange(1.0, 41.0), -np.arange(20.0, 0.0, -1.0)]))
+    problem = trace_min_problem(gallery("lehmer", 60), a, signature(3, 2))
+    assert not problem.metric.matrix.banded
+    record = solve(problem, make_point(problem.spec), SolverConfig(max_iter=20))
+    assert record.n_iter == 20 and record.status == "max_iter"
+
+
+def test_checked_solve_is_the_numpy_one_norm_formulation_bitwise():
+    # the 1-norm is the column-sum reduction np.linalg.norm(b, 1) runs
+    rng = np.random.default_rng(52)
+    wide = rng.standard_normal((40, 60)) + 4.0 * np.eye(40, 60)
+    square = np.ascontiguousarray(wide[:, :40])
+    rhs = rng.standard_normal((40, 7))
+    for b in (square, np.asfortranarray(square), wide[:, ::-1][:, 20:]):
+        bc = np.ascontiguousarray(b, dtype=float)
+        lu, piv, _ = dgetrf(bc)
+        rcond, _ = dgecon(lu, np.linalg.norm(bc, 1), norm="1")
+        x, _ = dgetrs(lu, piv, rhs)
+        got_x, got_rcond = checked_solve(b, rhs)
+        assert got_x.tobytes() == x.tobytes()
+        assert np.float64(got_rcond).tobytes() == np.float64(rcond).tobytes()
+
+
+def test_checked_solve_reads_the_condition_estimate_info(monkeypatch):
+    # a non-finite system is a breakdown, never handed to dgecon, which
+    # takes a non-finite norm for an illegal argument
+    for bad in (np.nan, np.inf):
+        b = np.eye(3)
+        b[0, 1] = bad
+        with pytest.raises(np.linalg.LinAlgError, match="not finite"):
+            checked_solve(b, np.ones(3))
+    # an illegal argument is a ValueError, not a singular system
+    monkeypatch.setattr(linalg, "dgecon", lambda lu, anorm, norm: (1.0, -2))
+    with pytest.raises(ValueError, match="gecon"):
+        checked_solve(np.eye(3), np.ones(3))
 
 
 def test_checked_solve_matches_dense():

@@ -1,7 +1,8 @@
 """The package root names the user surface, every library name that the
 benchmark harness and the scripts bind resolves (their files are read with
-``ast``), no library module imports a private name from a sibling, and the
-eigenvalue benchmark script runs on a small pencil."""
+``ast``), no library module imports a private name from a sibling, the
+eigenvalue benchmark script runs on a small pencil, and the A/B timing
+script runs the checkout against itself."""
 
 from __future__ import annotations
 
@@ -10,6 +11,9 @@ import dataclasses
 import importlib
 import inspect
 import runpy
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -88,6 +92,31 @@ def test_eigenvalue_script_runs_a_small_pencil(capsys):
     record = run(gallery("lehmer", 30), a, 2, 1, label="lehmer n=30")
     assert record.status == "converged"
     assert "eig_rel=" in capsys.readouterr().out
+
+
+def test_ab_time_script_runs_the_checkout_against_itself(tmp_path):
+    def ab_time(baseline):
+        return subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "ab_time.py"), "--workload", "lehmer200",
+             "--baseline", str(baseline), "--rounds", "1", "--limit", "2"],
+            capture_output=True, text=True, timeout=300,
+        )
+
+    done = ab_time(ROOT)
+    assert done.returncode == 0, done.stderr
+    assert "2 solves per pass" in done.stdout and "median B/A over 1 rounds" in done.stdout
+    assert "every solve agrees" in done.stdout
+    # a baseline whose first trial step differs solves differently: exit 1
+    skip = shutil.ignore_patterns("__pycache__", "out")
+    shutil.copytree(ROOT / "src" / "indefstiefel", tmp_path / "src" / "indefstiefel", ignore=skip)
+    shutil.copytree(ROOT / "perfbench", tmp_path / "perfbench", ignore=skip)
+    optimizer = tmp_path / "src" / "indefstiefel" / "optimizer.py"
+    text = optimizer.read_text()
+    assert text.count("gamma0: float = 1e-3") == 1
+    optimizer.write_text(text.replace("gamma0: float = 1e-3", "gamma0: float = 2e-3"))
+    done = ab_time(tmp_path)
+    assert done.returncode == 1
+    assert "round 0: solves differ, first at 0" in done.stdout
 
 
 def test_no_module_imports_a_private_name_from_a_sibling():
