@@ -14,8 +14,9 @@ the ratio B / A.  Last it prints the median of the per-round ratios.  Runs
 that alternate in one process share the machine's state, which two separate
 benchmark runs minutes apart do not.  ``--limit N`` keeps the first N solves.
 
-Exits 1 unless every solve of every pass agrees between the sides in status,
-iterations, f-evaluations and the bytes of the final X.
+Exits 1 unless every solve of every pass agrees between the sides in
+status, iterations, f-evaluations, history and final X: the fingerprint of
+``scripts/parity.py``, whose job list this script shares.
 """
 
 from __future__ import annotations
@@ -29,6 +30,9 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "scripts"))
+
+from parity import first_difference, fingerprint, jobs  # noqa: E402
 
 
 def load(root: Path, name: str):
@@ -56,27 +60,15 @@ def load(root: Path, name: str):
     return package, workloads.WORKLOADS
 
 
-def jobs(workload, limit: int | None) -> list[tuple]:
-    """(problem, x0) for each start of each seed-0 instance, the first limit."""
-    out = []
-    for instance in workload.instances(0):
-        problem = instance.factory()
-        out += [(problem, x0) for x0 in instance.starts(instance.start(problem))]
-    return out[:limit]
-
-
-def one_pass(package, workload, side_jobs: list[tuple]) -> tuple[list[float], list[tuple]]:
-    """Solve each job once: (solve times, (status, iters, fevals, X bytes) each)."""
-    import numpy as np
-
+def one_pass(package, workload, side_jobs: list[tuple]) -> tuple[list[float], list[dict]]:
+    """Solve each job once: the solve times and each solve's fingerprint."""
     gc.collect()
     times, results = [], []
     for problem, x0 in side_jobs:
         t0 = time.perf_counter()
         record = package.solve(problem, x0, workload.config)
         times.append(time.perf_counter() - t0)
-        results.append((record.status, record.n_iter, record.n_feval,
-                        np.ascontiguousarray(record.x).tobytes()))
+        results.append(fingerprint(record))
     return times, results
 
 
@@ -89,15 +81,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if not (args.baseline / "src" / "indefstiefel").is_dir():
         parser.error(f"no library source under {args.baseline}")
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    from run import pin_threads
+    from run import pin_threads  # perfbench/ is on sys.path through parity
     pin_threads()
 
     sides = {}
     for label, root in (("A", args.baseline.resolve()), ("B", ROOT)):
         package, workloads = load(root, f"indefstiefel_{label}")
         workload = workloads[args.workload]
-        sides[label] = (package, workload, jobs(workload, args.limit))
+        sides[label] = (package, workload, list(jobs(workload, 0, args.limit)))
     print(f"{args.workload}: A = {args.baseline.resolve()}, B = {ROOT}, {len(sides['B'][2])} solves per pass")
 
     for side in sides.values():  # first-pass costs (caches, allocator) go untimed
@@ -109,15 +100,15 @@ def main(argv=None) -> int:
         for label in order:
             times, results[label] = one_pass(*sides[label])
             p50[label] = statistics.median(times)
-        differ = [i for i, (a, b) in enumerate(zip(results["A"], results["B"])) if a != b]
-        if differ or len(results["A"]) != len(results["B"]):
+        difference = first_difference(results["A"], results["B"])
+        if difference:
             agree = False
-            print(f"round {r}: solves differ, first at {differ[0] if differ else 'count'}")
+            print(f"round {r}: solves differ, {difference}")
         ratios.append(p50["B"] / p50["A"])
         print(f"round {r} ({order[0]} first): A p50 {p50['A'] * 1e3:.3f} ms, "
               f"B p50 {p50['B'] * 1e3:.3f} ms, B/A {ratios[-1]:.3f}")
     print(f"median B/A over {len(ratios)} rounds: {statistics.median(ratios):.3f}")
-    print("every solve agrees in status, iterations, f-evaluations and X bytes" if agree
+    print("every solve agrees in status, iterations, f-evaluations, history and X" if agree
           else "solves differ between the sides")
     return 0 if agree else 1
 

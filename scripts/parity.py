@@ -34,22 +34,36 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 
-def fingerprints(workload_name: str, seed: int, limit: int | None) -> list[dict]:
-    import numpy as np
-    from indefstiefel import solve
-    from workloads import WORKLOADS
-
-    workload, out = WORKLOADS[workload_name], []
+def jobs(workload, seed: int, limit: int | None = None):
+    """Yield (problem, x0) for each start of each instance of workload at
+    seed, the first limit; each instance's problem is built when reached."""
+    count = 0
     for instance in workload.instances(seed):
         problem = instance.factory()
         for x0 in instance.starts(instance.start(problem)):
-            if limit is not None and len(out) == limit:
-                return out
-            record = solve(problem, x0, workload.config)
-            sha = hashlib.sha256(np.ascontiguousarray(record.x).tobytes()).hexdigest()
-            out.append({"status": record.status, "iters": record.n_iter, "fevals": record.n_feval,
-                        "history": [list(row[:5]) for row in record.rows], "x_sha256": sha})
-    return out
+            if count == limit:
+                return
+            yield problem, x0
+            count += 1
+
+
+def fingerprint(record) -> dict:
+    """A solve's status, iterations, f-evaluations, history without its
+    time_s column, and the sha256 of its final X."""
+    import numpy as np
+
+    sha = hashlib.sha256(np.ascontiguousarray(record.x).tobytes()).hexdigest()
+    return {"status": record.status, "iters": record.n_iter, "fevals": record.n_feval,
+            "history": [list(row[:5]) for row in record.rows], "x_sha256": sha}
+
+
+def fingerprints(workload_name: str, seed: int, limit: int | None) -> list[dict]:
+    from indefstiefel import solve
+    from workloads import WORKLOADS
+
+    workload = WORKLOADS[workload_name]
+    return [fingerprint(solve(problem, x0, workload.config))
+            for problem, x0 in jobs(workload, seed, limit)]
 
 
 def first_difference(a: list[dict], b: list[dict]) -> str | None:

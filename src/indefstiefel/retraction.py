@@ -89,10 +89,6 @@ class CayleyCurve:
             self._cv[k:] = jg
             self._j = j
             self._xz = np.concatenate([self.x, z], axis=1)
-            # shared by every trial step, so read-only
-            self._eye2k, self._eyek = np.eye(2 * k), np.eye(k)
-            self._eye2k.setflags(write=False)
-            self._eyek.setflags(write=False)
         else:
             # assemble S_{X,Z} A from rank-k pieces (never an n^3 product)
             # J applied through its operator: a row scaling for a diagonal J
@@ -110,13 +106,13 @@ class CayleyCurve:
                 rhs = self.x + (0.5 * t) * self._sax
                 out, _ = checked_solve(b, rhs)
                 return out
-            b = self._eye2k - (0.5 * t) * self._cg
+            b = np.eye(self._cg.shape[0]) - (0.5 * t) * self._cg
             w, _ = checked_solve(b, self._cv)
             # X + t U w = [X, Z] [[I + t J w_1], [t w_2]]; a C-ordered
             # coefficient takes the faster BLAS kernel for the n x 2k product
             k = w.shape[1]
             coef = np.multiply(t, w, order="C")
-            coef[:k] = self._eyek + self._j @ coef[:k]
+            coef[:k] = np.eye(k) + self._j @ coef[:k]
             return self._xz @ coef
         except np.linalg.LinAlgError as exc:
             raise WellDefinednessError(

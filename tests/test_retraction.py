@@ -235,19 +235,6 @@ def test_curve_with_given_a_x_gives_the_same_bits():
         assert np.array_equal(given, CayleyCurve(spec, x, z).at(0.4))
 
 
-def test_woodbury_identity_blocks_are_never_written():
-    # the curve builds its identity blocks once and shares them between trials
-    rng = np.random.default_rng(13)
-    spec = random_spec(rng, 40, 25, 3, 2)
-    x = make_point(spec)
-    z = random_tangent(spec, x, rng)
-    curve = CayleyCurve(spec, x, z)
-    first = curve.at(0.4).tobytes()
-    curve.at(1.3)
-    assert curve.at(0.4).tobytes() == first
-    assert CayleyCurve(spec, x, z).at(0.4).tobytes() == first
-
-
 def test_retraction_curve_stays_feasible_along_path():
     rng = np.random.default_rng(5)
     spec = random_spec(rng, 9, 5, 2, 2)

@@ -116,7 +116,7 @@ def test_ab_time_script_runs_the_checkout_against_itself(tmp_path):
     optimizer.write_text(text.replace("gamma0: float = 1e-3", "gamma0: float = 2e-3"))
     done = ab_time(tmp_path)
     assert done.returncode == 1
-    assert "round 0: solves differ, first at 0" in done.stdout
+    assert "round 0: solves differ, solve 0: " in done.stdout
 
 
 def test_no_module_imports_a_private_name_from_a_sibling():
