@@ -1,4 +1,4 @@
-"""Time a benchmark workload's solves on two checkouts in one process, in alternation.
+"""Time a benchmark workload's set-up and solves on two checkouts in one process, in alternation.
 
     python3 scripts/ab_time.py --workload lehmer200 --baseline ../parent --rounds 14
     python3 scripts/ab_time.py --workload tridiag2000 --baseline ../parent --limit 2
@@ -7,12 +7,15 @@ Imports the library from this checkout's ``src/`` (side B) and from the one
 under BASELINE (side A), each under its own package name, and builds each
 side's seed-0 instances from that side's own ``perfbench/workloads.py`` with
 that side's factories, at one BLAS thread.  After one untimed pass per
-side, each round runs one full pass
-over every solve on each side, the side that goes first alternating from
-round to round, and prints each side's per-pass median solve time (p50) and
-the ratio B / A.  Last it prints the median of the per-round ratios.  Runs
-that alternate in one process share the machine's state, which two separate
-benchmark runs minutes apart do not.  ``--limit N`` keeps the first N solves.
+side, each round runs on each side, the side that goes first alternating
+from round to round, the set-up and then one full pass over every solve.
+The set-up is the benchmark's, ``factory()`` plus ``start()``, built over
+the instances in turn for SETUP_BUDGET_S seconds and at least once each.
+Per round it prints each side's median solve time (p50) and median build
+time, and their ratios B / A; last, the median of the per-round ratios.
+Runs that alternate in one process share the machine's state, which two
+separate benchmark runs minutes apart do not.  ``--limit N`` keeps the
+first N solves.
 
 Exits 1 unless every solve of every pass agrees between the sides in
 status, iterations, f-evaluations, history and final X: the fingerprint of
@@ -33,6 +36,8 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "scripts"))
 
 from parity import first_difference, fingerprint, jobs  # noqa: E402
+
+SETUP_BUDGET_S = 0.5  # build time per side per round
 
 
 def load(root: Path, name: str):
@@ -60,6 +65,20 @@ def load(root: Path, name: str):
     return package, workloads.WORKLOADS
 
 
+def build(instances: list, budget: float) -> list[float]:
+    """Build the instances in turn, for budget seconds and each at least
+    once: the build times."""
+    gc.collect()
+    times = []
+    t_end = time.perf_counter() + budget
+    while len(times) < len(instances) or time.perf_counter() < t_end:
+        instance = instances[len(times) % len(instances)]
+        t0 = time.perf_counter()
+        instance.start(instance.factory())
+        times.append(time.perf_counter() - t0)
+    return times
+
+
 def one_pass(package, workload, side_jobs: list[tuple]) -> tuple[list[float], list[dict]]:
     """Solve each job once: the solve times and each solve's fingerprint."""
     gc.collect()
@@ -84,20 +103,23 @@ def main(argv=None) -> int:
     from run import pin_threads  # perfbench/ is on sys.path through parity
     pin_threads()
 
-    sides = {}
+    sides, instances = {}, {}
     for label, root in (("A", args.baseline.resolve()), ("B", ROOT)):
         package, workloads = load(root, f"indefstiefel_{label}")
         workload = workloads[args.workload]
-        sides[label] = (package, workload, list(jobs(workload, 0, args.limit)))
+        instances[label] = workload.instances(0)
+        sides[label] = (package, workload, list(jobs(instances[label], args.limit)))
     print(f"{args.workload}: A = {args.baseline.resolve()}, B = {ROOT}, {len(sides['B'][2])} solves per pass")
 
-    for side in sides.values():  # first-pass costs (caches, allocator) go untimed
+    for label, side in sides.items():  # first-pass costs (caches, allocator) go untimed
+        build(instances[label], 0.0)
         one_pass(*side)
-    ratios, agree = [], True
+    ratios, setup_ratios, agree = [], [], True
     for r in range(args.rounds):
         order = ("A", "B") if r % 2 == 0 else ("B", "A")
-        p50, results = {}, {}
+        p50, builds, results = {}, {}, {}
         for label in order:
+            builds[label] = build(instances[label], SETUP_BUDGET_S)
             times, results[label] = one_pass(*sides[label])
             p50[label] = statistics.median(times)
         difference = first_difference(results["A"], results["B"])
@@ -107,7 +129,12 @@ def main(argv=None) -> int:
         ratios.append(p50["B"] / p50["A"])
         print(f"round {r} ({order[0]} first): A p50 {p50['A'] * 1e3:.3f} ms, "
               f"B p50 {p50['B'] * 1e3:.3f} ms, B/A {ratios[-1]:.3f}")
+        setup = {label: statistics.median(times) for label, times in builds.items()}
+        setup_ratios.append(setup["B"] / setup["A"])
+        print(f"round {r} set-up: A p50 {setup['A'] * 1e3:.3f} ms ({len(builds['A'])} builds), "
+              f"B p50 {setup['B'] * 1e3:.3f} ms ({len(builds['B'])} builds), B/A {setup_ratios[-1]:.3f}")
     print(f"median B/A over {len(ratios)} rounds: {statistics.median(ratios):.3f}")
+    print(f"median set-up B/A over {len(setup_ratios)} rounds: {statistics.median(setup_ratios):.3f}")
     print("every solve agrees in status, iterations, f-evaluations, history and X" if agree
           else "solves differ between the sides")
     return 0 if agree else 1

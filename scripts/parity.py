@@ -8,10 +8,17 @@ The first form solves each start of each instance of a workload from
 ``perfbench/workloads.py`` (one BLAS thread, library from ``src/``) and
 writes, per solve: status, iterations, f-evaluations, the history without its
 ``time_s`` column, and the sha256 of the final X.  ``--limit N`` keeps the
-first N solves.  The second form exits 0 when the solve lists of two such
-files are bitwise equal.  Otherwise it names the first difference, reports
-for each file the sorted per-solve iterations and f-evaluations (median and
-range) and the largest final feasibility, then the largest gap
+first N solves.  It also prints the median and the largest number of minor
+page faults per solve, read from the process's own ``resource.getrusage``
+around each solve; the counts stay out of the file.  glibc serves a block
+above its dynamic mmap threshold with a fresh mmap that is faulted in page by
+page, and the threshold rises only when the process frees a larger mmapped
+block, so a set-up that frees different blocks can move the faults, and the
+time, of bitwise-equal solves.  The second form exits 0 when the solve lists
+of two such files are bitwise equal.  Otherwise it names the first
+difference, reports for each file the sorted per-solve iterations and
+f-evaluations (median and range) and the largest final feasibility, then the
+largest gap
 |f_B - f_A| / |f0| between the final objectives, scaled by the start
 objective f0 of A's solve (unscaled where f0 = 0), and exits 1.  The third
 form takes several A B pairs, say one per seed: it reports each pair's first
@@ -26,6 +33,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import resource
 import statistics
 import sys
 from pathlib import Path
@@ -34,11 +42,11 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 
-def jobs(workload, seed: int, limit: int | None = None):
-    """Yield (problem, x0) for each start of each instance of workload at
-    seed, the first limit; each instance's problem is built when reached."""
+def jobs(instances, limit: int | None = None):
+    """Yield (problem, x0) for each start of each of a workload's instances,
+    the first limit; each instance's problem is built when reached."""
     count = 0
-    for instance in workload.instances(seed):
+    for instance in instances:
         problem = instance.factory()
         for x0 in instance.starts(instance.start(problem)):
             if count == limit:
@@ -57,13 +65,19 @@ def fingerprint(record) -> dict:
             "history": [list(row[:5]) for row in record.rows], "x_sha256": sha}
 
 
-def fingerprints(workload_name: str, seed: int, limit: int | None) -> list[dict]:
+def fingerprints(workload_name: str, seed: int, limit: int | None) -> tuple[list[dict], list[int]]:
+    """Each solve's fingerprint, and the minor page faults taken during it."""
     from indefstiefel import solve
     from workloads import WORKLOADS
 
     workload = WORKLOADS[workload_name]
-    return [fingerprint(solve(problem, x0, workload.config))
-            for problem, x0 in jobs(workload, seed, limit)]
+    solves, faults = [], []
+    for problem, x0 in jobs(workload.instances(seed), limit):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        record = solve(problem, x0, workload.config)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        solves.append(fingerprint(record))
+    return solves, faults
 
 
 def first_difference(a: list[dict], b: list[dict]) -> str | None:
@@ -150,8 +164,10 @@ def main(argv=None) -> int:
         parser.error("give --workload and --out, or --compare A B [A B ...]")
     from run import pin_threads
     pin_threads()
-    solves = fingerprints(args.workload, args.seed, args.limit)
+    solves, faults = fingerprints(args.workload, args.seed, args.limit)
     Path(args.out).write_text(json.dumps({"workload": args.workload, "seed": args.seed, "solves": solves}))
+    print(f"{args.workload}: {len(faults)} solves, minor page faults per solve: "
+          f"median {statistics.median(faults):g}, max {max(faults)}")
     return 0
 
 

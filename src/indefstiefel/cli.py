@@ -31,10 +31,11 @@ from pathlib import Path
 import numpy as np
 import scipy.linalg
 
-from .linalg import random_rotation, read_mtx, signature, test_matrix
+from .linalg import MATRIX_KINDS, random_rotation, read_mtx, signature, test_matrix
 from .manifold import ManifoldSpec, feasibility, make_point
 from .optimizer import SolverConfig, solve
 from .problems import (
+    METRIC_KINDS,
     Problem,
     extract_eigenpairs,
     lrevp_initial_guess,
@@ -46,8 +47,6 @@ from .problems import (
 )
 
 PROBLEM_KINDS = ("tracemin", "lrevp", "procrustes", "matexeq")
-METRIC_KINDS = ("euclidean", "hessian")
-MATRIX_KINDS = ("lehmer", "minij", "kms", "gcdmat", "moler", "tridiag")
 # the config fields each problem ignores, left out of its config echo
 IGNORED_FIELDS = {
     "tracemin": ("l", "mtx_k", "mtx_m"),
@@ -89,18 +88,10 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         """Check parameter consistency before any matrix is allocated."""
-        if self.problem not in PROBLEM_KINDS:
-            raise ConfigError(
-                f"unknown problem {self.problem!r}; choose from {', '.join(PROBLEM_KINDS)}"
-            )
-        if self.metric not in METRIC_KINDS:
-            raise ConfigError(
-                f"unknown metric {self.metric!r}; choose from {', '.join(METRIC_KINDS)}"
-            )
-        if self.matrix not in MATRIX_KINDS:
-            raise ConfigError(
-                f"unknown matrix {self.matrix!r}; choose from {', '.join(MATRIX_KINDS)}"
-            )
+        for name, kinds in (("problem", PROBLEM_KINDS), ("metric", METRIC_KINDS), ("matrix", MATRIX_KINDS)):
+            value = getattr(self, name)
+            if value not in kinds:
+                raise ConfigError(f"unknown {name} {value!r}; choose from {', '.join(kinds)}")
         for name in ("n", "p", "k", "kp"):
             value = getattr(self, name)
             if value < 0:

@@ -18,6 +18,8 @@ import scipy.linalg
 import scipy.sparse
 from scipy.linalg.lapack import dgecon, dgetrf, dgetrs, dpbtrs, dpotrs, dpttrf, dpttrs
 
+MATRIX_KINDS = ("lehmer", "minij", "kms", "gcdmat", "moler", "tridiag")  # test_matrix's names
+
 
 class Inertia(NamedTuple):
     """Eigenvalue sign counts (n_pos, n_neg, n_zero) of a symmetric matrix."""
@@ -233,6 +235,8 @@ def test_matrix(name: str, n: int, param: float | None = None) -> np.ndarray:
     the diagonal; ``tridiag`` the (-1, 2, -1) second-difference matrix.
     Indices i, j are 1-based.
     """
+    if name not in MATRIX_KINDS:
+        raise ValueError(f"unknown test matrix {name!r}")
     if n < 1:
         raise ValueError(f"matrix order must be positive, got n={n}")
     if name == "tridiag":
@@ -242,7 +246,7 @@ def test_matrix(name: str, n: int, param: float | None = None) -> np.ndarray:
         a[sub + 1, sub] = -1.0
         return a
     idx = np.arange(1, n + 1)
-    i, j = np.meshgrid(idx, idx, indexing="ij")
+    i, j = idx[:, None], idx[None, :]  # broadcast: no n x n index grids
     if name == "lehmer":
         return np.minimum(i, j) / np.maximum(i, j)
     if name == "minij":
@@ -256,18 +260,17 @@ def test_matrix(name: str, n: int, param: float | None = None) -> np.ndarray:
         return rho ** np.abs(i - j).astype(float)
     if name == "gcdmat":
         return np.gcd(i, j).astype(float)
-    if name == "moler":
-        if param is None:
-            raise ValueError("moler requires a parameter alpha")
-        alpha = float(param)
-        if not math.isfinite(alpha):
-            raise ValueError(f"moler parameter must be finite, got {alpha}")
-        # closed form of U^T U: alpha^2 (min(i,j)-1) off the diagonal
-        a = alpha * alpha * (np.minimum(i, j) - 1).astype(float)
-        off = np.full((n, n), alpha)
-        np.fill_diagonal(off, 1.0)
-        return a + off
-    raise ValueError(f"unknown test matrix {name!r}")
+    # moler, the one name left
+    if param is None:
+        raise ValueError("moler requires a parameter alpha")
+    alpha = float(param)
+    if not math.isfinite(alpha):
+        raise ValueError(f"moler parameter must be finite, got {alpha}")
+    # closed form of U^T U: alpha^2 (min(i,j)-1) off the diagonal
+    a = alpha * alpha * (np.minimum(i, j) - 1).astype(float)
+    off = np.full((n, n), alpha)
+    np.fill_diagonal(off, 1.0)
+    return a + off
 
 
 def signature(kp: int, km: int) -> np.ndarray:

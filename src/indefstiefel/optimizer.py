@@ -54,9 +54,12 @@ class RunRecord:
     status: str                       # "converged" | "max_iter" | "stalled" | "infeasible"
     x: np.ndarray                     # final iterate
     rows: list[tuple] = field(default_factory=list)  # HISTORY_COLUMNS tuples
-    n_iter: int = 0
     n_feval: int = 0
     cpu_s: float = 0.0
+
+    @property
+    def n_iter(self) -> int:
+        return len(self.rows) - 1
 
     @property
     def obj(self) -> float:
@@ -196,5 +199,5 @@ def solve(problem, x0: np.ndarray, config: SolverConfig | None = None) -> RunRec
 
     if rows[-1][4] > feas_tol:
         status = "infeasible"
-    return RunRecord(status=status, x=x, rows=rows, n_iter=len(rows) - 1, n_feval=feval,
+    return RunRecord(status=status, x=x, rows=rows, n_feval=feval,
                      cpu_s=time.perf_counter() - t_start)

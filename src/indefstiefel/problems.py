@@ -26,6 +26,8 @@ import scipy.linalg
 from .linalg import SymOperator, signature, sym
 from .manifold import ManifoldSpec, MetricSpec
 
+METRIC_KINDS = ("euclidean", "hessian")
+
 
 @dataclass
 class Problem:
@@ -74,7 +76,7 @@ def _metric_for(choice: str, hessian: SymOperator, egrad: Callable, closed_form:
     M_X^{-1} egrad has the closed form ``closed_form``; "euclidean" takes
     M_X = I, under which it is egrad.  Either way that Hessian must be
     positive definite, so the objective is strictly convex."""
-    if choice not in ("euclidean", "hessian"):
+    if choice not in METRIC_KINDS:
         raise ValueError(f"unknown metric choice {choice!r}")
     weighted = MetricSpec(hessian)
     if choice == "hessian":

@@ -95,7 +95,6 @@ class CayleyCurve:
             xj = (spec._j @ self.x.T).T
             jxta = spec._j @ ax.T
             self._sa = xj @ (core @ jxta) - xj @ az.T + z @ jxta
-            self._sax = self._sa @ self.x  # S A X does not depend on t
 
     def at(self, t: float) -> np.ndarray:
         """Evaluate the curve; raises WellDefinednessError at singular t."""
@@ -103,7 +102,7 @@ class CayleyCurve:
         try:
             if self._sa is not None:
                 b = np.eye(self.x.shape[0]) - (0.5 * t) * self._sa
-                rhs = self.x + (0.5 * t) * self._sax
+                rhs = self.x + (0.5 * t) * (self._sa @ self.x)
                 out, _ = checked_solve(b, rhs)
                 return out
             b = np.eye(self._cg.shape[0]) - (0.5 * t) * self._cg

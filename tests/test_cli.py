@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -276,7 +277,14 @@ def test_unknown_problem_rejected(tmp_path, capsys):
 
 def test_unknown_matrix_rejected(tmp_path, capsys):
     assert main(run_args(tmp_path, "--matrix", "hilbert")) == 1
-    assert "hilbert" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "config error: unknown matrix 'hilbert'; choose from lehmer, minij, kms, gcdmat, moler, tridiag\n"
+    )
+
+
+def test_unknown_metric_rejected(tmp_path, capsys):
+    assert main(run_args(tmp_path, "--metric", "riemann")) == 1
+    assert capsys.readouterr().err == "config error: unknown metric 'riemann'; choose from euclidean, hessian\n"
 
 
 def test_nonpositive_dimension_rejected(tmp_path, capsys):
@@ -455,10 +463,15 @@ def test_parity_script_compares_runs(tmp_path):
     for path in paths:
         done = parity("--workload", "lehmer200", "--seed", "0", "--limit", "1", "--out", path)
         assert done.returncode == 0, done.stderr
+        assert re.search(r"^lehmer200: 1 solves, minor page faults per solve: median \d+, max \d+$",
+                         done.stdout, re.M)
     assert parity("--compare", paths[0], paths[0]).returncode == 0
     assert parity("--compare", *paths).returncode == 0
     data = json.loads(paths[1].read_text())
     (solve,) = data["solves"]
+    # the fault counts are printed, not fingerprinted
+    assert set(data) == {"workload", "seed", "solves"}
+    assert set(solve) == {"status", "iters", "fevals", "history", "x_sha256"}
     assert solve["status"] == "converged" and len(solve["history"]) == solve["iters"] + 1
     f_a = solve["history"][-1][1]
     f_b = solve["history"][-1][1] = np.nextafter(f_a, np.inf)

@@ -135,12 +135,35 @@ def test_tridiag_small_values():
 
 
 def test_generator_entry_formulas():
-    n = 6
-    i, j = np.meshgrid(np.arange(1, n + 1), np.arange(1, n + 1), indexing="ij")
-    assert np.allclose(gallery("lehmer", n), np.minimum(i, j) / np.maximum(i, j))
-    assert np.allclose(gallery("minij", n), np.minimum(i, j))
-    assert np.allclose(gallery("kms", n, 0.3), 0.3 ** np.abs(i - j))
-    assert np.allclose(gallery("gcdmat", n), np.gcd.outer(np.arange(1, n + 1), np.arange(1, n + 1)))
+    # bitwise against the entry formulas on n x n index grids
+    for n in (1, 2, 9, 200):
+        i, j = np.meshgrid(np.arange(1, n + 1), np.arange(1, n + 1), indexing="ij")
+        expected = {
+            ("lehmer", None): np.minimum(i, j) / np.maximum(i, j),
+            ("minij", None): np.minimum(i, j).astype(float),
+            ("gcdmat", None): np.gcd(i, j).astype(float),
+        }
+        for rho in (0.5, -0.3):
+            expected["kms", rho] = rho ** np.abs(i - j).astype(float)
+        for alpha in (0.5, -2.0):
+            off = np.full((n, n), alpha)
+            np.fill_diagonal(off, 1.0)
+            expected["moler", alpha] = alpha * alpha * (np.minimum(i, j) - 1).astype(float) + off
+        for (name, param), matrix in expected.items():
+            out = gallery(name, n, param)
+            assert out.dtype == matrix.dtype and out.flags.c_contiguous
+            assert out.tobytes() == matrix.tobytes(), (name, param, n)
+
+
+def test_unknown_generator_name_allocates_nothing():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="unknown test matrix 'nope'"):
+            gallery("nope", 2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 def test_moler_matches_triangular_oracle():

@@ -10,6 +10,7 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import re
 import runpy
 import shutil
 import subprocess
@@ -105,6 +106,9 @@ def test_ab_time_script_runs_the_checkout_against_itself(tmp_path):
     done = ab_time(ROOT)
     assert done.returncode == 0, done.stderr
     assert "2 solves per pass" in done.stdout and "median B/A over 1 rounds" in done.stdout
+    assert re.search(r"^round 0 set-up: A p50 [0-9.]+ ms \([1-9][0-9]* builds\), "
+                     r"B p50 [0-9.]+ ms \([1-9][0-9]* builds\), B/A [0-9.]+$", done.stdout, re.M)
+    assert "median set-up B/A over 1 rounds: " in done.stdout
     assert "every solve agrees" in done.stdout
     # a baseline whose first trial step differs solves differently: exit 1
     skip = shutil.ignore_patterns("__pycache__", "out")
