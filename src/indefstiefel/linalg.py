@@ -191,12 +191,15 @@ def _lapack_solve(routine, *factor) -> Callable[[np.ndarray], np.ndarray]:
     return solve
 
 
-def sign_counts(w: np.ndarray, tol: float = 1e-12) -> Inertia:
+ZERO_EIG_TOL = 1e-12
+
+
+def sign_counts(w: np.ndarray) -> Inertia:
     """Inertia of a symmetric matrix from its eigenvalues w.
 
-    An eigenvalue counts as zero when |lambda| <= tol * max |w|.
+    An eigenvalue counts as zero when |lambda| <= ZERO_EIG_TOL * max |w|.
     """
-    thresh = tol * (np.max(np.abs(w)) if w.size else 0.0)
+    thresh = ZERO_EIG_TOL * (np.max(np.abs(w)) if w.size else 0.0)
     n_pos = int(np.count_nonzero(w > thresh))
     n_neg = int(np.count_nonzero(w < -thresh))
     return Inertia(n_pos, n_neg, w.size - n_pos - n_neg)

@@ -146,26 +146,29 @@ def solve(problem, x0: np.ndarray, config: SolverConfig | None = None) -> RunRec
 
     feas_tol = 1e-8 * np.linalg.norm(spec.J)
     ax = spec.apply_a(x)  # A x, computed once per accepted point
-    feas0 = feasibility(spec, x, ax)
-    if feas0 > feas_tol:
+    feas = feasibility(spec, x, ax)
+    if feas > feas_tol:
         raise ValueError(
-            f"infeasible starting point: ||X0^T A X0 - J||_F = {feas0:.3e}"
+            f"infeasible starting point: ||X0^T A X0 - J||_F = {feas:.3e}"
         )
 
     t_start = time.perf_counter()
-    f0 = problem.f(x)
-    if not np.isfinite(f0):
-        raise ValueError(f"objective is not finite at the starting point ({f0})")
-    grad = riemannian_gradient(spec, metric, x, problem.metric_grad(x), ax)
-    gn0 = gradnorm = metric_norm(metric, x, grad)
-    z = -grad  # search direction
-    q, c, gamma, feval = 1.0, f0, config.gamma0, 1
-    prev_x = prev_z = None
-    rows = [(0, f0, gn0, 0.0, feas0, time.perf_counter() - t_start)]
+    fx = problem.f(x)
+    if not np.isfinite(fx):
+        raise ValueError(f"objective is not finite at the starting point ({fx})")
+    q, c, gamma, feval, tau = 1.0, fx, config.gamma0, 1, 0.0
+    rows = []
 
     while True:
-        j = len(rows) - 1
-        if gradnorm <= config.rstop * gn0:
+        # evaluate the start point and each accepted point here, once
+        j = len(rows)
+        grad = riemannian_gradient(spec, metric, x, problem.metric_grad(x), ax)
+        gradnorm = metric_norm(metric, x, grad)
+        z = -grad  # search direction
+        if j > 0:  # the start point's was checked above
+            feas = feasibility(spec, x, ax)
+        rows.append((j, fx, gradnorm, tau, feas, time.perf_counter() - t_start))
+        if gradnorm <= config.rstop * rows[0][2]:
             status = "converged"
             break
         if j >= config.max_iter:
@@ -175,27 +178,19 @@ def solve(problem, x0: np.ndarray, config: SolverConfig | None = None) -> RunRec
         if j > 0:
             gamma = bb_trial_step(x - prev_x, z - prev_z, j, config)
         curve = CayleyCurve(spec, x, z, ax)
-        tau, x_next, f_next, evals = nonmonotone_search(problem, curve, gamma, c, gradnorm, config)
+        tau, x_next, fx, evals = nonmonotone_search(problem, curve, gamma, c, gradnorm, config)
         feval += evals
         if tau is None:
             status = "stalled"
             break
-        if not np.isfinite(f_next):
+        if not np.isfinite(fx):
             raise ValueError(f"objective is not finite at iteration {j + 1}")
 
         q_next = config.alpha * q + 1.0
-        c = (config.alpha * q * c + f_next) / q_next
+        c = (config.alpha * q * c + fx) / q_next
         q = q_next
-        prev_x, prev_z = x, z
-        x = x_next
+        prev_x, prev_z, x = x, z, x_next
         ax = spec.apply_a(x)
-
-        grad = riemannian_gradient(spec, metric, x, problem.metric_grad(x), ax)
-        gradnorm = metric_norm(metric, x, grad)
-        z = -grad
-        rows.append(
-            (j + 1, f_next, gradnorm, tau, feasibility(spec, x, ax), time.perf_counter() - t_start)
-        )
 
     if rows[-1][4] > feas_tol:
         status = "infeasible"

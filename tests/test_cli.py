@@ -288,8 +288,30 @@ def test_unknown_metric_rejected(tmp_path, capsys):
 
 
 def test_nonpositive_dimension_rejected(tmp_path, capsys):
-    assert main(run_args(tmp_path, "--k", "0")) == 1
-    assert "k" in capsys.readouterr().err
+    for extra, message in (
+        (["--k", "0"], "k = 0 must be at least 1"),
+        (["--n=-1"], "n = -1 must be nonnegative"),
+        (["--problem", "procrustes", "--n", "6", "--p", "4", "--l", "0"], "l = 0 must be at least 1"),
+    ):
+        assert main(run_args(tmp_path / "out", *extra)) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--rstop=-1"], "rstop = -1.0 must be nonnegative"),
+    (["run", "--max-iter", "0"], "max_iter = 0 must be at least 1"),
+    (["run", "--p", "31"], "p = 31 exceeds n = 30; tracemin needs p <= n"),
+    (["run", "--kp", "4"], "kp = 4 exceeds k = 3; tracemin needs kp <= k"),
+    (["run", "--problem", "lrevp", "--mtx-k", "K.mtx"], "lrevp needs both mtx_k and mtx_m, or neither"),
+    (["batch", "--n-seeds", "0"], "n_seeds = 0 must be at least 1"),
+], ids=["rstop", "max_iter", "p_over_n", "kp_over_k", "lrevp_one_mtx", "batch_no_seeds"])
+def test_inconsistent_setting_is_a_config_error(tmp_path, capsys, argv, message):
+    # each is caught before any matrix is read or allocated
+    out = tmp_path / "out"
+    assert main([argv[0], *run_args(out)[1:], *argv[1:]]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -117,10 +117,17 @@ def test_lyapunov_residual_scaled():
 
 
 def test_lyapunov_rejects_non_positive_definite():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not positive definite"):
         solve_lyapunov(np.diag([1.0, -1.0]), np.eye(2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not positive definite"):
         solve_lyapunov(np.diag([1.0, 0.0]), np.eye(2))
+
+
+@pytest.mark.parametrize("s, c", [(np.eye(2), np.eye(3)), (np.ones((2, 3)), np.ones((2, 3)))],
+                         ids=["orders_differ", "not_square"])
+def test_lyapunov_rejects_mismatched_shapes(s, c):
+    with pytest.raises(ValueError, match=r"shape mismatch: S \(2, [23]\), C \([23], 3\)"):
+        solve_lyapunov(s, c)
 
 
 def test_tridiag_small_values():
@@ -195,6 +202,9 @@ def test_generator_validation():
         gallery("kms", 4, 0.0)
     with pytest.raises(ValueError):
         gallery("moler", 4)  # param required
+    for alpha in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="moler parameter must be finite"):
+            gallery("moler", 4, alpha)
     with pytest.raises(ValueError):
         gallery("lehmer", 0)
 
@@ -524,4 +534,16 @@ def test_mtx_rejects_complex_entries(tmp_path):
     scipy.io.mmwrite(str(coord), scipy.sparse.coo_matrix(a))
     for path in (dense, coord):
         with pytest.raises(ValueError, match="complex"):
+            read_mtx(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_mtx_rejects_non_finite_entries(tmp_path, bad):
+    a = np.array([[2.0, bad], [bad, 3.0]])
+    dense = tmp_path / "dense.mtx"
+    coord = tmp_path / "coord.mtx"
+    scipy.io.mmwrite(str(dense), a)
+    scipy.io.mmwrite(str(coord), scipy.sparse.coo_matrix(a))
+    for path in (dense, coord):
+        with pytest.raises(ValueError, match="non-finite entries"):
             read_mtx(path)

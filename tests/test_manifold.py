@@ -201,8 +201,10 @@ def test_make_point_explicit_indices():
     spec = ManifoldSpec(a, signature(2, 1))
     x = make_point(spec, pos_indices=[1, 2], neg_indices=[0])
     assert feasibility(spec, x) <= 1e-12
-    with pytest.raises(ValueError):
-        make_point(spec, pos_indices=[0], neg_indices=[0])  # wrong count
+    with pytest.raises(ValueError, match="need exactly 2 positive and 1 negative directions, got 1 and 1"):
+        make_point(spec, pos_indices=[0], neg_indices=[0])
+    with pytest.raises(ValueError, match="duplicate eigendirection selected"):
+        make_point(spec, pos_indices=[1, 1], neg_indices=[0])
 
 
 # -------------------------------------------------------------- tangent space

@@ -214,6 +214,25 @@ def test_stall_status_when_search_cannot_move():
     assert record.n_iter == 0
 
 
+def test_search_skips_a_trial_step_where_the_retraction_breaks_down():
+    # on the hyperbola from x = (1, 0) along z = (0, 1) the Cayley curve is
+    # singular at t = 2: the search must pass over that trial without an f
+    # evaluation and accept the next one, t = 1
+    problem = hyperbola_problem()
+    x, z = np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]])
+    curve = optimizer.CayleyCurve(problem.spec, x, z)
+    with pytest.raises(retraction.WellDefinednessError):
+        curve.at(2.0)
+    f, calls = problem.f, []
+    problem.f = lambda x: calls.append(x) or f(x)
+    tau, x_next, f_next, evals = optimizer.nonmonotone_search(
+        problem, curve, 2.0, 100.0, 1.0, SolverConfig()
+    )
+    assert (tau, evals, len(calls)) == (1.0, 1, 1)
+    np.testing.assert_array_equal(x_next, curve.at(1.0))
+    assert f_next == f(x_next)
+
+
 @pytest.mark.parametrize("status", ["converged", "max_iter", "stalled"])
 def test_feval_count_is_every_objective_call(status):
     # the stalled run evaluates and rejects the pinned trial steps 1e5 and

@@ -69,8 +69,18 @@ def test_pencil_oracle_spd_reduces_to_generalized_eigh():
 def test_pencil_oracle_rejects_near_singular_a():
     m = np.eye(3)
     a = np.diag([1.0, -1.0, 1e-14])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="sign split is ambiguous"):
         pencil_oracle(m, a, 1, 1)
+
+
+@pytest.mark.parametrize("m, k_p, k_m, message", [
+    (np.diag([1.0, -1.0, 2.0]), 1, 1, "M is not positive definite"),
+    (np.eye(3), 3, 1, r"pencil has 2 positive / 1 negative eigenvalues; requested \(3, 1\)"),
+    (np.eye(3), 1, 2, r"pencil has 2 positive / 1 negative eigenvalues; requested \(1, 2\)"),
+], ids=["m_indefinite", "too_many_positive", "too_many_negative"])
+def test_pencil_oracle_rejects_an_indefinite_m_and_an_overlong_request(m, k_p, k_m, message):
+    with pytest.raises(ValueError, match=message):
+        pencil_oracle(m, np.diag([1.0, -1.0, 2.0]), k_p, k_m)
 
 
 # ----------------------------------------------------------- trace minimization
@@ -201,6 +211,17 @@ def test_hessian_metric_objective_keeps_no_product(factory):
             tracemalloc.stop()
     assert kept["hessian"] < x.nbytes // 2
     assert kept["euclidean"] < x.nbytes // 2
+
+
+@pytest.mark.parametrize("build", [
+    lambda metric: trace_min_problem(np.eye(2), np.diag([1.0, -1.0]), signature(1, 0), metric=metric),
+    lambda metric: matrix_equation_problem(
+        np.eye(2), np.zeros((2, 1)), ManifoldSpec(np.diag([1.0, -1.0]), signature(1, 0)), metric=metric
+    ),
+], ids=["tracemin", "matexeq"])
+def test_unknown_metric_choice_rejected(build):
+    with pytest.raises(ValueError, match="unknown metric choice 'riemann'"):
+        build("riemann")
 
 
 def test_trace_min_hessian_metric_requires_spd():

@@ -1,8 +1,7 @@
 """The package root names the user surface, every library name that the
 benchmark harness and the scripts bind resolves (their files are read with
-``ast``), no library module imports a private name from a sibling, the
-eigenvalue benchmark script runs on a small pencil, and the A/B timing
-script runs the checkout against itself."""
+``ast``), no library module imports a private name from a sibling, and
+the A/B timing script runs the checkout against itself."""
 
 from __future__ import annotations
 
@@ -11,17 +10,13 @@ import dataclasses
 import importlib
 import inspect
 import re
-import runpy
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
-
 import indefstiefel
 from indefstiefel import CayleyCurve, SolverConfig
-from indefstiefel import test_matrix as gallery
 
 ROOT = Path(__file__).resolve().parents[1]
 SURFACE = {
@@ -84,15 +79,6 @@ def test_solver_has_no_kernel_choice():
     # solver with its config times the library's own choice
     assert "form" not in {f.name for f in dataclasses.fields(SolverConfig)}
     assert list(inspect.signature(CayleyCurve).parameters) == ["spec", "x", "z", "ax"]
-
-
-def test_eigenvalue_script_runs_a_small_pencil(capsys):
-    # calls the script's own code, so a stale library call in it fails here
-    run = runpy.run_path(str(ROOT / "scripts" / "run_eigenvalue_benchmarks.py"))["run"]
-    a = np.diag(np.concatenate([np.arange(1.0, 21.0), -np.arange(10.0, 0.0, -1.0)]))
-    record = run(gallery("lehmer", 30), a, 2, 1, label="lehmer n=30")
-    assert record.status == "converged"
-    assert "eig_rel=" in capsys.readouterr().out
 
 
 def test_ab_time_script_runs_the_checkout_against_itself(tmp_path):
