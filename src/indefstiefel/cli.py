@@ -96,6 +96,8 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value < 0:
                 raise ConfigError(f"{name} = {value} must be nonnegative")
+        if not np.isfinite(self.rstop):
+            raise ConfigError(f"rstop = {self.rstop} must be finite")
         if self.rstop < 0:
             raise ConfigError(f"rstop = {self.rstop} must be nonnegative")
         if self.max_iter < 1:

@@ -3,17 +3,20 @@
 One iteration moves along Z_j = -grad f(X_j) through the Cayley retraction.
 The trial step gamma_j alternates between the two Barzilai-Borwein formulas
 built from W = X_j - X_{j-1} and Y = Z_j - Z_{j-1}, clamped to
-[gamma_min, gamma_max]; backtracking then finds the smallest l >= 0 with
+[GAMMA_MIN, GAMMA_MAX] (gamma_0 = GAMMA0); backtracking then finds the
+smallest l in 0..MAX_BACKTRACKS with
 
-    f(R_{X_j}(tau Z_j)) <= c_j + beta tau g_X(grad f(X_j), Z_j),
-    tau = gamma_j delta^l,
+    f(R_{X_j}(tau Z_j)) <= c_j + BETA tau g_X(grad f(X_j), Z_j),
+    tau = gamma_j DELTA^l,
 
 where c_j is the Zhang-Hager nonmonotone reference value updated by
-q_{j+1} = alpha q_j + 1, c_{j+1} = (alpha q_j c_j + f(X_{j+1})) / q_{j+1}.
+q_{j+1} = ALPHA q_j + 1, c_{j+1} = (ALPHA q_j c_j + f(X_{j+1})) / q_{j+1}.
 A step at which the retraction is undefined simply fails the condition and
-backtracks.  :func:`solve` keeps the loop's state (X_j, A X_j, Z_j, q_j, c_j,
-gamma_j, the f-evaluation count) in locals.  Iteration stops when the metric
-gradient norm falls below rstop times its initial value.  An end point whose
+backtracks.  These constants are fixed; :class:`SolverConfig` holds the two
+settings a run chooses, rstop and max_iter.  :func:`solve` keeps the loop's
+state (X_j, A X_j, Z_j, q_j, c_j, gamma_j, the f-evaluation count) in locals.
+Iteration stops when the metric gradient norm falls below rstop times its
+initial value, or after max_iter iterations.  An end point whose
 feasibility ||X^T A X - J||_F exceeds the start tolerance 1e-8 ||J||_F is
 reported as "infeasible", whatever stopped the loop.
 """
@@ -31,20 +34,21 @@ from .retraction import CayleyCurve, WellDefinednessError
 
 HISTORY_COLUMNS = ("iter", "f", "gradnorm", "tau", "feas", "time_s")
 
+BETA = 1e-4             # sufficient-decrease slope factor
+DELTA = 0.5             # backtracking shrink
+GAMMA0 = 1e-3           # first trial step
+GAMMA_MIN = 1e-15       # BB clamp, lower
+GAMMA_MAX = 1e5         # BB clamp, upper
+ALPHA = 0.85            # nonmonotone averaging weight
+MAX_BACKTRACKS = 60
+
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tuning knobs; the defaults are the standard benchmark settings."""
+    """The settings of one run; the defaults are the standard benchmark settings."""
 
-    beta: float = 1e-4          # sufficient-decrease slope factor
-    delta: float = 0.5          # backtracking shrink
-    gamma0: float = 1e-3        # first trial step
-    gamma_min: float = 1e-15    # BB clamp, lower
-    gamma_max: float = 1e5      # BB clamp, upper
-    alpha: float = 0.85         # nonmonotone averaging weight (0 = Armijo)
     rstop: float = 1e-9         # relative gradient-norm stopping factor
     max_iter: int = 20000
-    max_backtracks: int = 60
 
 
 @dataclass
@@ -92,12 +96,12 @@ class RunRecord:
                    delimiter=",", header=",".join(HISTORY_COLUMNS), comments="")
 
 
-def bb_trial_step(w: np.ndarray, y: np.ndarray, j: int, config: SolverConfig) -> float:
+def bb_trial_step(w: np.ndarray, y: np.ndarray, j: int) -> float:
     """Alternating Barzilai-Borwein step from W = X_j - X_{j-1}, Y = Z_j - Z_{j-1}.
 
     Odd j uses <W, W> / |tr(W^T Y)|, even j uses |tr(W^T Y)| / <Y, Y>; the
-    result is clamped to [gamma_min, gamma_max].  Degenerate denominators
-    fall back to the clamped gamma0.
+    result is clamped to [GAMMA_MIN, GAMMA_MAX].  Degenerate denominators
+    fall back to the clamped GAMMA0.
     """
     wy = abs(float(np.vdot(w, y)))
     if j % 2 == 1:
@@ -105,34 +109,33 @@ def bb_trial_step(w: np.ndarray, y: np.ndarray, j: int, config: SolverConfig) ->
     else:
         num, den = wy, float(np.vdot(y, y))
     if den == 0.0 or not np.isfinite(num / den):
-        gamma = config.gamma0
+        gamma = GAMMA0
     else:
         gamma = num / den
-    return float(min(max(gamma, config.gamma_min), config.gamma_max))
+    return float(min(max(gamma, GAMMA_MIN), GAMMA_MAX))
 
 
-def nonmonotone_search(problem, curve: CayleyCurve, gamma: float, c: float, gradnorm: float,
-                       config: SolverConfig):
+def nonmonotone_search(problem, curve: CayleyCurve, gamma: float, c: float, gradnorm: float):
     """Backtrack along ``curve`` from gamma until the nonmonotone condition
     against the reference value c holds, where gradnorm is the metric norm
     of the gradient that the curve's direction negates.
 
     Returns (tau, x_next, f_next, evals), evals counting the f evaluations.
     Retraction breakdown at a trial step counts as a failed condition (no f
-    evaluation).  After max_backtracks rejections it returns
+    evaluation).  After MAX_BACKTRACKS rejections it returns
     (None, None, None, evals): the search stalled.
     """
     dir_deriv = -gradnorm**2  # g_X(grad f, Z) with Z = -grad f
     evals = 0
-    for ell in range(config.max_backtracks + 1):
-        tau = gamma * config.delta**ell
+    for ell in range(MAX_BACKTRACKS + 1):
+        tau = gamma * DELTA**ell
         try:
             x_trial = curve.at(tau)
         except WellDefinednessError:
             continue
         f_trial = problem.f(x_trial)
         evals += 1
-        if f_trial <= c + config.beta * tau * dir_deriv:
+        if f_trial <= c + BETA * tau * dir_deriv:
             return tau, x_trial, f_trial, evals
     return None, None, None, evals
 
@@ -156,7 +159,7 @@ def solve(problem, x0: np.ndarray, config: SolverConfig | None = None) -> RunRec
     fx = problem.f(x)
     if not np.isfinite(fx):
         raise ValueError(f"objective is not finite at the starting point ({fx})")
-    q, c, gamma, feval, tau = 1.0, fx, config.gamma0, 1, 0.0
+    q, c, gamma, feval, tau = 1.0, fx, GAMMA0, 1, 0.0
     rows = []
 
     while True:
@@ -176,9 +179,9 @@ def solve(problem, x0: np.ndarray, config: SolverConfig | None = None) -> RunRec
             break
 
         if j > 0:
-            gamma = bb_trial_step(x - prev_x, z - prev_z, j, config)
+            gamma = bb_trial_step(x - prev_x, z - prev_z, j)
         curve = CayleyCurve(spec, x, z, ax)
-        tau, x_next, fx, evals = nonmonotone_search(problem, curve, gamma, c, gradnorm, config)
+        tau, x_next, fx, evals = nonmonotone_search(problem, curve, gamma, c, gradnorm)
         feval += evals
         if tau is None:
             status = "stalled"
@@ -186,8 +189,8 @@ def solve(problem, x0: np.ndarray, config: SolverConfig | None = None) -> RunRec
         if not np.isfinite(fx):
             raise ValueError(f"objective is not finite at iteration {j + 1}")
 
-        q_next = config.alpha * q + 1.0
-        c = (config.alpha * q * c + fx) / q_next
+        q_next = ALPHA * q + 1.0
+        c = (ALPHA * q * c + fx) / q_next
         q = q_next
         prev_x, prev_z, x = x, z, x_next
         ax = spec.apply_a(x)

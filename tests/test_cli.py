@@ -300,12 +300,14 @@ def test_nonpositive_dimension_rejected(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, message", [
     (["run", "--rstop=-1"], "rstop = -1.0 must be nonnegative"),
+    (["run", "--rstop", "nan"], "rstop = nan must be finite"),
+    (["run", "--rstop", "inf"], "rstop = inf must be finite"),
     (["run", "--max-iter", "0"], "max_iter = 0 must be at least 1"),
     (["run", "--p", "31"], "p = 31 exceeds n = 30; tracemin needs p <= n"),
     (["run", "--kp", "4"], "kp = 4 exceeds k = 3; tracemin needs kp <= k"),
     (["run", "--problem", "lrevp", "--mtx-k", "K.mtx"], "lrevp needs both mtx_k and mtx_m, or neither"),
     (["batch", "--n-seeds", "0"], "n_seeds = 0 must be at least 1"),
-], ids=["rstop", "max_iter", "p_over_n", "kp_over_k", "lrevp_one_mtx", "batch_no_seeds"])
+], ids=["rstop", "rstop_nan", "rstop_inf", "max_iter", "p_over_n", "kp_over_k", "lrevp_one_mtx", "batch_no_seeds"])
 def test_inconsistent_setting_is_a_config_error(tmp_path, capsys, argv, message):
     # each is caught before any matrix is read or allocated
     out = tmp_path / "out"

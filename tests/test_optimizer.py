@@ -42,6 +42,20 @@ def hyperbola_problem():
     )
 
 
+def fail_every_trial(problem):
+    """Make problem.f return f + 1 on every call after the first, so that no
+    trial step of a search from the first point meets the decrease condition;
+    return the list that records each call's point."""
+    f, calls = problem.f, []
+
+    def raised(x):
+        calls.append(x)
+        return f(x) + 1.0 if len(calls) > 1 else f(x)
+
+    problem.f = raised
+    return calls
+
+
 def small_pencil_problem(seed=0, metric="hessian"):
     rng = np.random.default_rng(seed)
     a = np.diag([1.0, 2.0, 3.0, -1.0, -2.0])
@@ -55,27 +69,24 @@ def small_pencil_problem(seed=0, metric="hessian"):
 
 
 def test_bb_step_alternates():
-    config = SolverConfig()
     w = np.array([[1.0, 0.0], [0.0, 2.0]])
     y = np.array([[0.5, 0.0], [0.0, 1.0]])
     wy = abs(np.vdot(w, y))  # 2.5
-    assert bb_trial_step(w, y, 1, config) == pytest.approx(np.vdot(w, w) / wy)
-    assert bb_trial_step(w, y, 2, config) == pytest.approx(wy / np.vdot(y, y))
+    assert bb_trial_step(w, y, 1) == pytest.approx(np.vdot(w, w) / wy)
+    assert bb_trial_step(w, y, 2) == pytest.approx(wy / np.vdot(y, y))
 
 
 def test_bb_step_clamps():
-    config = SolverConfig(gamma_min=1e-2, gamma_max=10.0)
-    w = np.array([[100.0]])
-    y = np.array([[1e-6]])
-    assert bb_trial_step(w, y, 1, config) == 10.0  # huge ratio clamped high
-    assert bb_trial_step(y, w, 1, config) == pytest.approx(1e-2)  # tiny clamped low
+    w = np.array([[1e10]])
+    y = np.array([[1e-10]])
+    assert bb_trial_step(w, y, 1) == optimizer.GAMMA_MAX == 1e5  # 1e20 clamped high
+    assert bb_trial_step(y, w, 1) == optimizer.GAMMA_MIN == 1e-15  # 1e-20 clamped low
 
 
 def test_bb_step_degenerate_falls_back():
-    config = SolverConfig(gamma0=1e-3)
     zero = np.zeros((2, 2))
-    assert bb_trial_step(zero, zero, 1, config) == pytest.approx(1e-3)
-    assert bb_trial_step(zero, zero, 2, config) == pytest.approx(1e-3)
+    assert bb_trial_step(zero, zero, 1) == optimizer.GAMMA0
+    assert bb_trial_step(zero, zero, 2) == optimizer.GAMMA0
 
 
 # ---------------------------------------------------------------- convergence
@@ -132,31 +143,19 @@ def test_gradient_norm_meets_relative_stop():
     assert record.gradnorm <= config.rstop * gn0
 
 
-def test_monotone_armijo_when_alpha_zero():
-    problem, x0, _, _ = small_pencil_problem(seed=5)
-    config = SolverConfig(alpha=0.0, max_iter=2000)
-    record = solve(problem, x0, config)
-    hist = record.history()
-    f = hist[:, 1]
-    gradnorm = hist[:, 2]
-    tau = hist[:, 3]
-    assert record.status == "converged"
-    for j in range(len(f) - 1):
-        assert f[j + 1] <= f[j] - config.beta * tau[j + 1] * gradnorm[j] ** 2 + 1e-14
-
-
 def test_nonmonotone_condition_replay():
     problem, x0, _, _ = small_pencil_problem(seed=6)
-    config = SolverConfig(alpha=0.85, max_iter=2000)
-    record = solve(problem, x0, config)
+    record = solve(problem, x0, SolverConfig(max_iter=2000))
+    assert record.status == "converged"
     hist = record.history()
     f, gradnorm, tau = hist[:, 1], hist[:, 2], hist[:, 3]
+    beta, alpha = optimizer.BETA, optimizer.ALPHA
     q, c = 1.0, f[0]
     for j in range(len(f) - 1):
         # accepted step j -> j+1 satisfied the averaged sufficient decrease
-        assert f[j + 1] <= c - config.beta * tau[j + 1] * gradnorm[j] ** 2 + 1e-12
-        q_next = config.alpha * q + 1.0
-        c = (config.alpha * q * c + f[j + 1]) / q_next
+        assert f[j + 1] <= c - beta * tau[j + 1] * gradnorm[j] ** 2 + 1e-12
+        q_next = alpha * q + 1.0
+        c = (alpha * q * c + f[j + 1]) / q_next
         q = q_next
 
 
@@ -202,16 +201,16 @@ def test_max_iter_status():
 
 
 def test_stall_status_when_search_cannot_move():
-    # the trial step is pinned at 1e5 and no backtracking is allowed, so the
-    # one admissible trial either breaks down or fails the decrease condition
+    # every trial of the first search fails the decrease condition: after
+    # MAX_BACKTRACKS + 1 of them the run stops at the start point
     problem = hyperbola_problem()
     x0 = np.array([[np.cosh(1.0)], [np.sinh(1.0)]])
-    config = SolverConfig(
-        gamma0=1e5, gamma_min=1e5, gamma_max=1e5, max_backtracks=0, rstop=1e-16
-    )
-    record = solve(problem, x0, config)
+    fail_every_trial(problem)
+    record = solve(problem, x0)
     assert record.status == "stalled"
     assert record.n_iter == 0
+    assert record.n_feval == 1 + optimizer.MAX_BACKTRACKS + 1
+    np.testing.assert_array_equal(record.x, x0)
 
 
 def test_search_skips_a_trial_step_where_the_retraction_breaks_down():
@@ -225,9 +224,7 @@ def test_search_skips_a_trial_step_where_the_retraction_breaks_down():
         curve.at(2.0)
     f, calls = problem.f, []
     problem.f = lambda x: calls.append(x) or f(x)
-    tau, x_next, f_next, evals = optimizer.nonmonotone_search(
-        problem, curve, 2.0, 100.0, 1.0, SolverConfig()
-    )
+    tau, x_next, f_next, evals = optimizer.nonmonotone_search(problem, curve, 2.0, 100.0, 1.0)
     assert (tau, evals, len(calls)) == (1.0, 1, 1)
     np.testing.assert_array_equal(x_next, curve.at(1.0))
     assert f_next == f(x_next)
@@ -235,22 +232,21 @@ def test_search_skips_a_trial_step_where_the_retraction_breaks_down():
 
 @pytest.mark.parametrize("status", ["converged", "max_iter", "stalled"])
 def test_feval_count_is_every_objective_call(status):
-    # the stalled run evaluates and rejects the pinned trial steps 1e5 and
-    # 5e4 at iteration 0: those calls count too
+    # the stalled run evaluates and rejects every trial step at iteration 0:
+    # those calls count too
     problem = hyperbola_problem()
     x0 = np.array([[np.cosh(1.0)], [np.sinh(1.0)]])
-    config = {
-        "converged": SolverConfig(),
-        "max_iter": SolverConfig(max_iter=3, rstop=1e-16),
-        "stalled": SolverConfig(gamma0=1e5, gamma_min=1e5, gamma_max=1e5, max_backtracks=1),
-    }[status]
-    f, calls = problem.f, []
-    problem.f = lambda x: calls.append(x) or f(x)
+    if status == "stalled":
+        calls = fail_every_trial(problem)
+    else:
+        f, calls = problem.f, []
+        problem.f = lambda x: calls.append(x) or f(x)
+    config = SolverConfig(max_iter=3, rstop=1e-16) if status == "max_iter" else SolverConfig()
     record = solve(problem, x0, config)
     assert record.status == status
     assert record.n_feval == len(calls)
     if status == "stalled":
-        assert record.n_iter == 0 and len(calls) == 3
+        assert record.n_iter == 0 and len(calls) == 1 + optimizer.MAX_BACKTRACKS + 1
 
 
 def test_drifting_end_point_reported_infeasible(monkeypatch):
